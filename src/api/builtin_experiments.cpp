@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 
@@ -16,7 +15,6 @@
 #include "api/run_meta.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "core/experiments.h"
 #include "core/msgs.h"
 #include "kernels/backend.h"
@@ -849,77 +847,10 @@ Json run_backend_matrix(std::ostream& os) {
   return out;
 }
 
-/// Thread-scaling section: one *single* run_msgs call on the tiled
-/// backend over a large scene (the `small` preset — 1700 queries, 4
-/// levels), timed at executor counts 1..all via the DEFA_TILED_THREADS
-/// knob.  This is the case the query-parallel backends cannot speed up —
-/// one lone request on an otherwise idle machine — and the reason the
-/// tiled backend exists.  On a single-core host the curve is flat by
-/// construction; `hardware_executors` records how many executors the
-/// measurement actually had.
-Json run_tiled_scaling(std::ostream& os) {
-  const ModelConfig m = ModelConfig::small();
-  workload::SceneParams sp;
-  sp.seed = m.seed;
-  const workload::SceneWorkload wl(m, sp);
-  Rng rng(6);
-  const Tensor values = Tensor::randn({m.n_in(), m.d_model}, rng);
-  const nn::MsdaFields f = wl.layer_fields(0);
-  const Tensor probs = nn::softmax_lastdim(f.logits);
-  const kernels::SamplingPlan plan = kernels::SamplingPlan::build(m, f.locs);
-  const kernels::Backend& tiled = kernels::backend("tiled");
-  kernels::MsgsSpec spec;
-  spec.plan = &plan;
-
-  const int executors = ThreadPool::global().size() + 1;
-  const char* saved = std::getenv("DEFA_TILED_THREADS");
-  const std::string restore = saved != nullptr ? saved : "";
-
-  TextTable t({"threads", "ns/op", "speedup vs 1 thread"});
-  Json rows = Json::array();
-  double sink = 0.0;
-  double one_thread_ns = 0.0;
-  for (int threads = 1; threads <= executors; ++threads) {
-    setenv("DEFA_TILED_THREADS", std::to_string(threads).c_str(), 1);
-    const double ns = min_ns_per_op([&] {
-      sink += tiled.run_msgs(m, values, probs, f.locs, spec)(0, 0);
-    });
-    if (threads == 1) one_thread_ns = ns;
-    const double speedup = ns > 0.0 ? one_thread_ns / ns : 0.0;
-    t.new_row().add_num(threads, 0).add_num(ns / 1e3, 1).add_num(speedup, 2);
-    Json row = Json::object();
-    row["threads"] = threads;
-    row["ns_per_op"] = ns;
-    row["speedup_vs_1thread"] = speedup;
-    rows.push_back(std::move(row));
-  }
-  if (saved != nullptr) {
-    setenv("DEFA_TILED_THREADS", restore.c_str(), 1);
-  } else {
-    unsetenv("DEFA_TILED_THREADS");
-  }
-
-  os << "Tiled-backend thread scaling (small preset, ONE run_msgs call —\n"
-        "intra-request parallelism; ns/op column is microseconds)\n\n";
-  os << t.str() << "\n";
-  os << fmt("(checksum %.3g — ignore; defeats dead-code elimination)\n\n", sink);
-
-  Json out = Json::object();
-  out["workload"] = "small/default-scene";
-  out["hardware_executors"] = executors;
-  out["rows"] = std::move(rows);
-  return out;
-}
-
 /// Locality section: the MSGS kernel of every backend across scene sizes
-/// whose value memory ranges from cache-resident to several times L2 —
-/// the regime the quill backend exists for.  Per cell: ns/query with the
-/// cached plans (steady state), speedup against `fused` (the fastest
-/// non-reordering CPU path and the baseline the quill win is judged
-/// against).  quill cells additionally report the one-time locality-plan
-/// build cost (amortized per query) and the reorder on/off delta via the
-/// DEFA_QUILL_REORDER knob — the control isolating the query-reorder win
-/// from the level-sequential restructuring.
+/// whose value memory ranges from cache-resident to several times L2.
+/// Per cell: ns/query with the cached plan (steady state) and the speedup
+/// against `fused`, the optimized path whose gathers leave cache first.
 Json run_locality_matrix(std::ostream& os) {
   // Pyramid scenes: level-0 halved (rounding up) per level, the FPN shape
   // of the real presets.  small == the `small` preset; large == the
@@ -945,14 +876,10 @@ Json run_locality_matrix(std::ostream& os) {
       pyramid_model("large", 100, 134),   // 17821 queries, ~18.2 MB
   };
 
-  const std::int64_t tile_elems = kernels::locality_tile_elems();
   std::vector<std::string> ordered{"fused"};
   for (const std::string& name : kernels::backend_names()) {
     if (name != "fused") ordered.push_back(name);
   }
-
-  const char* saved = std::getenv("DEFA_QUILL_REORDER");
-  const std::string restore = saved != nullptr ? saved : "";
 
   TextTable t({"scene", "queries", "value MB", "backend", "ns/query",
                "speedup vs fused"});
@@ -967,7 +894,6 @@ Json run_locality_matrix(std::ostream& os) {
     const nn::MsdaFields f = wl.layer_fields(0);
     const Tensor probs = nn::softmax_lastdim(f.logits);
     const kernels::SamplingPlan plan = kernels::SamplingPlan::build(m, f.locs);
-    const kernels::LocalityPlan loc = kernels::LocalityPlan::build(m, plan, tile_elems);
     const double n_queries = static_cast<double>(m.n_in());
     const double value_mb = static_cast<double>(m.n_in()) * m.d_model * 4.0 / 1048576.0;
 
@@ -987,7 +913,6 @@ Json run_locality_matrix(std::ostream& os) {
       }
       kernels::MsgsSpec spec;
       spec.plan = &plan;
-      if (backend.wants_locality()) spec.locality = &loc;
       const double ns = min_ns_per_op([&] {
         sink += backend.run_msgs(m, values, probs, f.locs, spec)(0, 0);
       });
@@ -1000,26 +925,6 @@ Json run_locality_matrix(std::ostream& os) {
       row["ns_per_op"] = ns;
       row["ns_per_query"] = ns / n_queries;
       row["speedup_vs_fused"] = speedup;
-      if (backend.wants_locality()) {
-        // One-time planning cost, and the reorder on/off control.
-        const double plan_ns = time_ns_per_op([&] {
-          sink += static_cast<double>(
-              kernels::LocalityPlan::build(m, plan, tile_elems).order(0)[0]);
-        });
-        row["plan_build_ns"] = plan_ns;
-        row["plan_build_ns_per_query"] = plan_ns / n_queries;
-        setenv("DEFA_QUILL_REORDER", "off", 1);
-        const double off_ns = min_ns_per_op([&] {
-          sink += backend.run_msgs(m, values, probs, f.locs, spec)(0, 0);
-        });
-        if (saved != nullptr) {
-          setenv("DEFA_QUILL_REORDER", restore.c_str(), 1);
-        } else {
-          unsetenv("DEFA_QUILL_REORDER");
-        }
-        row["reorder_off_ns_per_query"] = off_ns / n_queries;
-        row["reorder_speedup"] = ns > 0.0 ? off_ns / ns : 0.0;
-      }
       rows.push_back(std::move(row));
     }
     Json scene = Json::object();
@@ -1031,13 +936,11 @@ Json run_locality_matrix(std::ostream& os) {
   }
 
   os << "Locality matrix (one layer, cached plans; value-memory size vs the\n"
-        "gather working set — quill reorders queries into cache-sized tiles,\n"
-        "DEFA_L2_KB tile size; 'fused' rows define speedup 1.0)\n\n";
+        "gather working set; 'fused' rows define speedup 1.0)\n\n";
   os << t.str() << "\n";
   os << fmt("(checksum %.3g — ignore; defeats dead-code elimination)\n\n", sink);
 
   Json out = Json::object();
-  out["tile_kb"] = static_cast<double>(tile_elems * 4 / 1024);
   out["scenes"] = std::move(scene_rows);
   return out;
 }
@@ -1125,7 +1028,6 @@ Json run_microbench_exp(Engine&, std::ostream& os) {
   out["meta"] = std::move(meta);
   out["rows"] = std::move(rows);
   out["backend_matrix"] = run_backend_matrix(os);
-  out["tiled_scaling"] = run_tiled_scaling(os);
   out["locality"] = run_locality_matrix(os);
   return out;
 }

@@ -104,7 +104,7 @@ class Engine {
   /// Monotonic cache-effectiveness counters (serve/metrics exports them).
   /// The plan counters are process-wide PlanCache totals (plan caches live
   /// per-pipeline inside pooled contexts — see kernels::PlanCache); the
-  /// entries field is a live gauge of resident sampling/locality plans.
+  /// entries field is a live gauge of resident sampling plans.
   struct CacheStats {
     core::ContextPool::CacheStats context;  ///< (model, scene) context cache
     std::uint64_t memo_hits = 0;            ///< run() served from the memo

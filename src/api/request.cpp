@@ -143,7 +143,7 @@ RangeSpec ranges_from_json(const Json& arr, const char* what) {
   RangeSpec rs;
   rs.used_levels = static_cast<int>(arr.size());
   for (std::size_t l = 0; l < arr.size(); ++l) {
-    rs.radius_px[l] = static_cast<int>(arr.at(l).as_int());
+    rs.radius_px[l] = arr.at(l).as_int32();
   }
   return rs;
 }
@@ -154,17 +154,17 @@ ModelConfig model_from_json(const Json& j) {
                     "levels", "baseline_ap", "seed"});
   ModelConfig m;
   m.name = j.at("name").as_string();
-  if (const Json* v = j.find("d_model")) m.d_model = static_cast<int>(v->as_int());
-  if (const Json* v = j.find("n_heads")) m.n_heads = static_cast<int>(v->as_int());
-  if (const Json* v = j.find("n_levels")) m.n_levels = static_cast<int>(v->as_int());
-  if (const Json* v = j.find("n_points")) m.n_points = static_cast<int>(v->as_int());
-  if (const Json* v = j.find("n_layers")) m.n_layers = static_cast<int>(v->as_int());
+  if (const Json* v = j.find("d_model")) m.d_model = v->as_int32();
+  if (const Json* v = j.find("n_heads")) m.n_heads = v->as_int32();
+  if (const Json* v = j.find("n_levels")) m.n_levels = v->as_int32();
+  if (const Json* v = j.find("n_points")) m.n_points = v->as_int32();
+  if (const Json* v = j.find("n_layers")) m.n_layers = v->as_int32();
   for (const Json& shape : j.at("levels").items()) {
     DEFA_CHECK(shape.is_array() && shape.size() == 2,
                "EvalRequest.model: each level must be an [h, w] pair");
     LevelShape lv;
-    lv.h = static_cast<int>(shape.at(std::size_t{0}).as_int());
-    lv.w = static_cast<int>(shape.at(std::size_t{1}).as_int());
+    lv.h = shape.at(std::size_t{0}).as_int32();
+    lv.w = shape.at(std::size_t{1}).as_int32();
     m.levels.push_back(lv);
   }
   if (const Json* v = j.find("baseline_ap")) m.baseline_ap = v->as_number();
@@ -182,7 +182,7 @@ workload::SceneParams scene_from_json(const Json& j) {
        "seek_strength", "seek_cap_px", "ring_scale_px", "offset_sigma_px",
        "tail_prob", "tail_scale", "layer_jitter", "seed"});
   workload::SceneParams p;
-  if (const Json* v = j.find("n_objects")) p.n_objects = static_cast<int>(v->as_int());
+  if (const Json* v = j.find("n_objects")) p.n_objects = v->as_int32();
   if (const Json* v = j.find("object_sigma_min")) p.object_sigma_min = v->as_number();
   if (const Json* v = j.find("object_sigma_max")) p.object_sigma_max = v->as_number();
   if (const Json* v = j.find("feature_noise")) p.feature_noise = v->as_number();
@@ -224,7 +224,7 @@ core::PruneConfig prune_from_json(const Json& j) {
     c.ranges = ranges_from_json(*v, "EvalRequest.prune");
   }
   if (const Json* v = j.find("quantize")) c.quantize = v->as_bool();
-  if (const Json* v = j.find("bits")) c.bits = static_cast<int>(v->as_int());
+  if (const Json* v = j.find("bits")) c.bits = v->as_int32();
   return c;
 }
 
@@ -236,21 +236,21 @@ HwConfig hw_from_json(const Json& j, HwConfig hw) {
        "parallelism", "act_streaming", "operator_fusion", "fmap_reuse",
        "conflict_penalty_cycles", "mode_switch_cycles", "dram_gbps",
        "dram_pj_per_bit", "tiles"});
-  if (const Json* v = j.find("pe_lanes")) hw.pe_lanes = static_cast<int>(v->as_int());
+  if (const Json* v = j.find("pe_lanes")) hw.pe_lanes = v->as_int32();
   if (const Json* v = j.find("pe_macs_per_lane")) {
-    hw.pe_macs_per_lane = static_cast<int>(v->as_int());
+    hw.pe_macs_per_lane = v->as_int32();
   }
   if (const Json* v = j.find("ba_point_units")) {
-    hw.ba_point_units = static_cast<int>(v->as_int());
+    hw.ba_point_units = v->as_int32();
   }
   if (const Json* v = j.find("ba_channels_per_cycle")) {
-    hw.ba_channels_per_cycle = static_cast<int>(v->as_int());
+    hw.ba_channels_per_cycle = v->as_int32();
   }
-  if (const Json* v = j.find("sram_banks")) hw.sram_banks = static_cast<int>(v->as_int());
+  if (const Json* v = j.find("sram_banks")) hw.sram_banks = v->as_int32();
   if (const Json* v = j.find("freq_mhz")) hw.freq_mhz = v->as_number();
-  if (const Json* v = j.find("act_bits")) hw.act_bits = static_cast<int>(v->as_int());
+  if (const Json* v = j.find("act_bits")) hw.act_bits = v->as_int32();
   if (const Json* v = j.find("weight_bits")) {
-    hw.weight_bits = static_cast<int>(v->as_int());
+    hw.weight_bits = v->as_int32();
   }
   if (const Json* v = j.find("range_radii")) {
     hw.ranges = ranges_from_json(*v, "EvalRequest.hw");
@@ -273,14 +273,14 @@ HwConfig hw_from_json(const Json& j, HwConfig hw) {
   if (const Json* v = j.find("operator_fusion")) hw.enable_operator_fusion = v->as_bool();
   if (const Json* v = j.find("fmap_reuse")) hw.enable_fmap_reuse = v->as_bool();
   if (const Json* v = j.find("conflict_penalty_cycles")) {
-    hw.conflict_penalty_cycles = static_cast<int>(v->as_int());
+    hw.conflict_penalty_cycles = v->as_int32();
   }
   if (const Json* v = j.find("mode_switch_cycles")) {
-    hw.mode_switch_cycles = static_cast<int>(v->as_int());
+    hw.mode_switch_cycles = v->as_int32();
   }
   if (const Json* v = j.find("dram_gbps")) hw.dram_gbps = v->as_number();
   if (const Json* v = j.find("dram_pj_per_bit")) hw.dram_pj_per_bit = v->as_number();
-  if (const Json* v = j.find("tiles")) hw.tiles = static_cast<int>(v->as_int());
+  if (const Json* v = j.find("tiles")) hw.tiles = v->as_int32();
   return hw;
 }
 
@@ -300,7 +300,7 @@ OutputMask outputs_from_json(const Json& j) {
     }
     return mask;
   }
-  return static_cast<OutputMask>(j.as_int());
+  return static_cast<OutputMask>(j.as_int32());
 }
 
 }  // namespace
@@ -533,7 +533,7 @@ EvalResult eval_result_from_json(const Json& j) {
   EvalResult r;
   r.benchmark = j.at("benchmark").as_string();
   r.workload_key = j.at("workload_key").as_string();
-  r.outputs = static_cast<OutputMask>(j.at("outputs").as_int());
+  r.outputs = static_cast<OutputMask>(j.at("outputs").as_int32());
 
   if (const Json* fj = j.find("functional")) {
     FunctionalStats f;
@@ -546,7 +546,7 @@ EvalResult eval_result_from_json(const Json& j) {
     f.actual_gflops = fj->at("actual_gflops").as_number();
     for (const Json& lj : fj->at("layers").items()) {
       LayerFunctionalRow l;
-      l.layer = static_cast<int>(lj.at("layer").as_int());
+      l.layer = lj.at("layer").as_int32();
       l.pap_pruned_frac = lj.at("pap_pruned_frac").as_number();
       l.fwp_mask_out_frac = lj.at("fwp_mask_out_frac").as_number();
       l.pixels_pruned_frac = lj.at("pixels_pruned_frac").as_number();
@@ -570,7 +570,7 @@ EvalResult eval_result_from_json(const Json& j) {
     l.msgs_groups = lj->at("msgs_groups").as_number();
     l.msgs_conflict_groups = lj->at("msgs_conflict_groups").as_number();
     l.msgs_points_per_cycle = lj->at("msgs_points_per_cycle").as_number();
-    l.steady_state_layer = static_cast<int>(lj->at("steady_state_layer").as_int());
+    l.steady_state_layer = lj->at("steady_state_layer").as_int32();
     l.steady_phases = phase_rows_from_json(lj->at("steady_phases"));
     l.total_phases = phase_rows_from_json(lj->at("total_phases"));
     r.latency = std::move(l);

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 namespace defa::api {
@@ -34,9 +35,19 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
   const double v = as_number();
+  // 2^63 bounds the doubles that convert to int64 without overflow.
+  DEFA_CHECK(v >= -9223372036854775808.0 && v < 9223372036854775808.0,
+             "Json: integer out of int64 range");
   const auto i = static_cast<std::int64_t>(v);
   DEFA_CHECK(static_cast<double>(i) == v, "Json: number is not an integer");
   return i;
+}
+
+int Json::as_int32() const {
+  const std::int64_t i = as_int();
+  DEFA_CHECK(i >= std::numeric_limits<int>::min() && i <= std::numeric_limits<int>::max(),
+             "Json: integer " + std::to_string(i) + " out of int range");
+  return static_cast<int>(i);
 }
 
 const std::string& Json::as_string() const {

@@ -47,6 +47,9 @@ class Json {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] std::int64_t as_int() const;  ///< checked narrowing
+  /// as_int() range-checked to `int`: a value outside [INT_MIN, INT_MAX]
+  /// throws instead of wrapping into a different number.
+  [[nodiscard]] int as_int32() const;
   [[nodiscard]] const std::string& as_string() const;
 
   // ---- array access -------------------------------------------------------

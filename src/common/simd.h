@@ -2,7 +2,8 @@
 
 /// \file simd.h
 /// Runtime SIMD-ISA detection and dispatch policy — the portable shim the
-/// `simd` kernels backend (src/kernels/simd_backend.cpp) stands on.
+/// `fused` kernels backend's INTn tiers (src/kernels/fused_backend.cpp)
+/// stand on.
 ///
 /// The repo ships three instruction-set tiers for the vectorized kernels:
 /// AVX2 (x86-64), NEON (aarch64) and a portable scalar fallback.  Which

@@ -16,7 +16,6 @@ Tensor run_msgs(const ModelConfig& m, const Tensor& values, const Tensor& probs,
   spec.act_bits = options.act_bits;
   spec.frac_bits = options.frac_bits;
   spec.plan = options.plan;
-  spec.locality = options.locality;
   return backend.run_msgs(m, values, probs, locs, spec);
 }
 

@@ -33,9 +33,6 @@ struct MsgsOptions {
   /// Optional cached sampling plan for `locs` (see kernels/plan.h); used
   /// by plan-consuming backends, ignored by the reference backend.
   const kernels::SamplingPlan* plan = nullptr;
-  /// Optional cached gather-locality schedule derived from `plan`; used by
-  /// reordering backends (quill), ignored by everything else.
-  const kernels::LocalityPlan* locality = nullptr;
 };
 
 /// Grid-sample `values` (N_in x D) at `locs` (N, H, L, P, 2) and aggregate

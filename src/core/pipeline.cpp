@@ -4,7 +4,9 @@
 
 #include "common/stats.h"
 #include "core/msgs.h"
+#include "nn/linear.h"
 #include "nn/norm.h"
+#include "nn/softmax.h"
 #include "obs/trace.h"
 #include "quant/fixed_point.h"
 
@@ -156,12 +158,6 @@ namespace {
 /// Plan-cache key of one layer's dense geometry.
 std::string layer_plan_key(int layer) { return "layer" + std::to_string(layer); }
 
-/// Key of the locality schedule derived from that geometry.  tile_elems is
-/// part of the key: the DEFA_L2_KB knob can change between calls.
-std::string layer_locality_key(int layer, std::int64_t tile_elems) {
-  return layer_plan_key(layer) + "#loc" + std::to_string(tile_elems);
-}
-
 }  // namespace
 
 void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const {
@@ -173,22 +169,15 @@ void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const
   for (int layer = 0; layer < m.n_layers; ++layer) {
     LayerRef lr;
     lr.fields = wl_.layer_fields(layer);
-    lr.probs = backend.softmax_lastdim(lr.fields.logits);
-    const Tensor v_ref = backend.matmul(x_ref, layer_value_weights(m, layer));
+    lr.probs = nn::softmax_lastdim(lr.fields.logits);
+    const Tensor v_ref = nn::matmul(x_ref, layer_value_weights(m, layer));
     std::shared_ptr<const kernels::SamplingPlan> plan;
-    std::shared_ptr<const kernels::LocalityPlan> locality;
     if (backend.wants_plan()) {
       plan = plan_cache_.get(layer_plan_key(layer), m, lr.fields.locs);
-      if (backend.wants_locality()) {
-        const std::int64_t tile_elems = kernels::locality_tile_elems();
-        locality = plan_cache_.get_locality(layer_locality_key(layer, tile_elems), m,
-                                            *plan, tile_elems);
-      }
     }
     MsgsOptions opt;
     opt.backend = &backend;
     opt.plan = plan.get();
-    opt.locality = locality.get();
     lr.out_ref = run_msgs(m, v_ref, lr.probs, lr.fields.locs, opt);
     x_ref.add_(lr.out_ref);
     nn::rms_norm_rows(x_ref);
@@ -266,7 +255,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       DEFA_TRACE_SPAN_ARG("quantize_narrow", "kernel", "layer", layer);
       if (cfg.quantize) {
         quantize_offsets(m, wl_.ref_norm(), cfg.bits, locs);
-        probs_hw = backend.softmax_lastdim(quant::fake_quantize(fields.logits, cfg.bits));
+        probs_hw = nn::softmax_lastdim(quant::fake_quantize(fields.logits, cfg.bits));
       }
       if (cfg.narrow) {
         ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), cfg.ranges, locs);
@@ -277,15 +266,9 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
     // only plan-consuming backends need one at all.
     const bool dense_geometry = !cfg.quantize && !cfg.narrow;
     std::shared_ptr<const kernels::SamplingPlan> plan;
-    std::shared_ptr<const kernels::LocalityPlan> locality;
     if (dense_geometry && backend.wants_plan()) {
       DEFA_TRACE_SPAN_ARG("plan_build", "kernel", "layer", layer);
       plan = plan_cache_.get(layer_plan_key(layer), m, locs);
-      if (backend.wants_locality()) {
-        const std::int64_t tile_elems = kernels::locality_tile_elems();
-        locality = plan_cache_.get_locality(layer_locality_key(layer, tile_elems), m,
-                                            *plan, tile_elems);
-      }
     }
 
     // (2) PAP point mask from the (hardware) softmax probabilities
@@ -304,10 +287,10 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       if (cfg.quantize) {
         const Tensor xq = quant::fake_quantize(x, cfg.bits);
         const Tensor wq = quant::fake_quantize(w_value, cfg.bits);
-        v = backend.matmul(xq, wq);
+        v = nn::matmul(xq, wq);
         v = quant::fake_quantize(v, cfg.bits);
       } else {
-        v = backend.matmul(x, w_value);
+        v = nn::matmul(x, w_value);
       }
       if (cfg.fwp) zero_pruned_rows(m, fmask, v);
     }
@@ -323,7 +306,6 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       opt.frac_bits = cfg.bits;
       opt.backend = &backend;
       opt.plan = plan.get();
-      opt.locality = locality.get();
       out = run_msgs(m, v, probs_hw, locs, opt);
     }
 

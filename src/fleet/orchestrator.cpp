@@ -54,7 +54,7 @@ ChaosSpec parse_chaos(const api::Json& j) {
                "fleet config: chaos mode '" + chaos.mode + "' (kill|drain)");
   }
   if (const api::Json* v = j.find("shard")) {
-    chaos.shard = static_cast<int>(v->as_int());
+    chaos.shard = v->as_int32();
     DEFA_CHECK(chaos.shard >= -1, "fleet config: chaos 'shard' must be >= -1");
   }
   if (const api::Json* v = j.find("after_fraction")) {
@@ -493,11 +493,11 @@ FleetConfig fleet_config_from_json(const api::Json& j) {
   FleetConfig config;
   if (const api::Json* v = j.find("name")) config.name = v->as_string();
   if (const api::Json* v = j.find("shards")) {
-    config.shards = static_cast<int>(v->as_int());
+    config.shards = v->as_int32();
     DEFA_CHECK(config.shards >= 1, "fleet config: 'shards' must be >= 1");
   }
   if (const api::Json* v = j.find("virtual_nodes")) {
-    config.virtual_nodes = static_cast<int>(v->as_int());
+    config.virtual_nodes = v->as_int32();
     DEFA_CHECK(config.virtual_nodes >= 1,
                "fleet config: 'virtual_nodes' must be >= 1");
   }
@@ -519,7 +519,7 @@ FleetConfig fleet_config_from_json(const api::Json& j) {
   if (const api::Json* v = j.find("shard_sweep")) {
     DEFA_CHECK(v->is_array(), "fleet config: 'shard_sweep' must be an array");
     for (const api::Json& n : v->items()) {
-      const int count = static_cast<int>(n.as_int());
+      const int count = n.as_int32();
       DEFA_CHECK(count >= 1, "fleet config: shard_sweep entries must be >= 1");
       config.shard_sweep.push_back(count);
     }

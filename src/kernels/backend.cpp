@@ -1,83 +1,39 @@
 #include "kernels/backend.h"
 
-#include <algorithm>
+#include <array>
 #include <cstdlib>
-#include <mutex>
-#include <utility>
 
 namespace defa::kernels {
 
 namespace {
 
-struct RegistryState {
-  std::mutex mu;
-  std::vector<std::unique_ptr<Backend>> backends;  // guarded by mu
-};
-
-RegistryState& state() {
-  static RegistryState* s = [] {
-    auto* st = new RegistryState;
-    st->backends.push_back(detail::make_reference_backend());
-    st->backends.push_back(detail::make_fused_backend());
-    st->backends.push_back(detail::make_simd_backend());
-    st->backends.push_back(detail::make_tiled_backend());
-    st->backends.push_back(detail::make_quill_backend());
-    return st;
-  }();
-  return *s;
+/// The fixed backend table, sorted by name.  Built once, never mutated, so
+/// lookups need no lock.
+const std::array<std::unique_ptr<Backend>, 2>& table() {
+  static const std::array<std::unique_ptr<Backend>, 2> backends{
+      detail::make_fused_backend(), detail::make_reference_backend()};
+  return backends;
 }
 
-const Backend* find_locked(const RegistryState& s, const std::string& name) {
-  for (const auto& b : s.backends) {
+}  // namespace
+
+const Backend* find_backend(const std::string& name) noexcept {
+  for (const auto& b : table()) {
     if (b->name() == name) return b.get();
   }
   return nullptr;
 }
 
-std::string known_names_locked(const RegistryState& s) {
-  std::string names;
-  for (const auto& b : s.backends) {
-    if (!names.empty()) names += ", ";
-    names += b->name();
-  }
-  return names;
-}
-
-}  // namespace
-
-void register_backend(std::unique_ptr<Backend> backend) {
-  DEFA_CHECK(backend != nullptr, "register_backend: null backend");
-  RegistryState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  DEFA_CHECK(find_locked(s, backend->name()) == nullptr,
-             "register_backend: duplicate backend name '" + backend->name() + "'");
-  s.backends.push_back(std::move(backend));
-}
-
-const Backend* find_backend(const std::string& name) noexcept {
-  RegistryState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return find_locked(s, name);
-}
-
 const Backend& backend(const std::string& name) {
-  RegistryState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const Backend* b = find_locked(s, name);
+  const Backend* b = find_backend(name);
   DEFA_CHECK(b != nullptr, "kernels: unknown backend '" + name + "' (known: " +
-                               known_names_locked(s) + ")");
+                               known_backends() + ")");
   return *b;
 }
 
 std::vector<std::string> backend_names() {
-  RegistryState& s = state();
   std::vector<std::string> names;
-  {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    names.reserve(s.backends.size());
-    for (const auto& b : s.backends) names.push_back(b->name());
-  }
-  std::sort(names.begin(), names.end());
+  for (const auto& b : table()) names.push_back(b->name());
   return names;
 }
 

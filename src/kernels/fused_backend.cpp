@@ -1,7 +1,7 @@
 // The `fused` backend: the optimized CPU implementation of the fused
 // MSGS + aggregation kernel.
 //
-// Three ideas, in execution order:
+// Four ideas, in execution order:
 //  1. **Sampling plan (SoA).**  Bilinear corner discovery — floor, 2x2
 //     neighborhood, per-neighbor bounds checks, token flattening — is
 //     hoisted out of the hot loop into a `SamplingPlan` (level-major SoA
@@ -16,160 +16,167 @@
 //     inside the gather.  (Compacting survivors into dense per-query
 //     point lists first was tried and measured *slower* — the list
 //     build/indirection cost more than the branch it removed.)
-//  3. **d_head-contiguous vector loop.**  Per point the aggregation is one
-//     straight-line loop over the head's contiguous channel slice with all
-//     row pointers and scalars hoisted; the compiler vectorizes it at the
-//     target ISA width (add -march=native via the DEFA_KERNELS_NATIVE
-//     cmake knob to widen it).
+//  3. **fp32: d_head-contiguous register tile.**  Per point the
+//     aggregation is one straight-line loop over the head's contiguous
+//     channel slice with all row pointers and scalars hoisted; for the
+//     common head widths the accumulator lives in registers and the
+//     compiler vectorizes the loop.  The loop (fused_fp32.h) is built
+//     twice: here at the portable ISA floor, and with -mavx2 in
+//     simd_avx2.cpp.
+//  4. **INTn: explicit SIMD tiers.**  The integer Horner chain does not
+//     auto-vectorize, so the quantized loop runs as AVX2 (x86-64) or NEON
+//     (aarch64) intrinsics chosen by *runtime* dispatch — one portable
+//     binary, CPUID-probed at the call site (src/common/simd.h) — with
+//     this file's scalar tier as the always-available fallback and
+//     semantic model (simd_avx2.cpp, simd_neon.cpp).
+//
+// Tier dispatch policy, for both datapaths (see docs/KERNELS.md):
+//  * DEFA_SIMD unset/"auto": best tier that is both compiled into the
+//    binary (DEFA_KERNELS_SIMD cmake knob) and supported by this CPU.
+//  * DEFA_SIMD=scalar: force the portable builds (how CI proves the
+//    tiers bit-identical without special hardware).
+//  * DEFA_SIMD=avx2|neon: *require* the tier.  If the build or the CPU
+//    cannot honor it the backend reports itself unavailable — loudly —
+//    instead of silently degrading and skewing a measurement.
 //
 // Bit-exactness: per output channel the accumulation chain visits the
 // same surviving points in the same (l, p) order and performs the same
 // Horner-form operations on the same operands as the reference backend,
 // so fp32 results are bit-identical and INTn results are exactly equal.
-// tests/test_kernels.cpp enforces both.  matmul/linear/softmax delegate
-// to the nn/ kernels — MSGS is the operator the paper shows dominates,
-// and the one this backend rewrites.
+// Vector lanes run across *channels*, whose accumulator chains are
+// independent, never across points.  The INTn vector tiers keep their
+// fraction multiplies in int32 only where the intermediates provably fit
+// (act_bits + frac_bits <= kMaxVectorQuantBits); wider configs take the
+// scalar tier's int64 path.  tests/test_kernels.cpp and
+// tests/test_backend_differential.cpp enforce both.
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/parallel.h"
+#include "common/simd.h"
 #include "kernels/backend.h"
+#include "kernels/fused_fp32.h"
 #include "kernels/plan.h"
+#include "kernels/simd_kernels.h"
 #include "nn/bilinear.h"
-#include "nn/linear.h"
-#include "nn/softmax.h"
 #include "quant/fixed_point.h"
 #include "quant/qmsgs.h"
 
 namespace defa::kernels {
+namespace simd_detail {
 
-namespace {
+// ---------------------------------------------------------- portable tier
 
-/// fp32 aggregation loop body.  DH > 0 is a compile-time head width (the
-/// common 8/16/32/64 cases): the channel loops fully unroll with no
-/// prologue, and the per-(query, head) accumulator tile lives in
-/// registers across the whole point loop, so a point costs four gathers
-/// and arithmetic — no output load/store per point.  DH == 0 handles any
-/// runtime width by accumulating straight into the (zero-initialized)
-/// output row — same per-channel operation chain, one load/store more
-/// per point.
-template <int DH>
-void run_fp32_impl(const ModelConfig& m, const Tensor& values, const Tensor& probs,
-                   const SamplingPlan& plan, const prune::PointMask* pmask,
-                   Tensor& out) {
-  const int dh = DH > 0 ? DH : m.d_head();
-  const int lp = m.points_per_head();
-  const std::int32_t* offs = plan.offsets().data();
-  const float* t0s = plan.t0().data();
-  const float* t1s = plan.t1().data();
-  const std::vector<float> zero_row(static_cast<std::size_t>(dh), 0.0f);
-  const float* zero = zero_row.data();
+void run_fp32_portable(const Fp32Args& a) { run_fp32_tiles(a); }
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
-    const float* vdata = values.data().data();
-    const float* pdata = probs.data().data();
-    for (std::int64_t q = begin; q < end; ++q) {
-      std::span<float> orow = out.row(q);
-      for (int h = 0; h < m.n_heads; ++h) {
-        const float* prow = &pdata[static_cast<std::size_t>((q * m.n_heads + h) * lp)];
-        float* head_out = &orow[static_cast<std::size_t>(h * dh)];
-        float acc[DH > 0 ? DH : 1] = {};
-        for (int l = 0; l < m.n_levels; ++l) {
-          const std::int64_t base = plan.slot(l, q, h, 0);
-          for (int p = 0; p < m.n_points; ++p) {
-            if (pmask != nullptr && !pmask->keep(q, h, l, p)) continue;
-            const std::int64_t s = (base + p) * 4;
-            const float* r0 = offs[s + 0] >= 0 ? vdata + offs[s + 0] : zero;
-            const float* r1 = offs[s + 1] >= 0 ? vdata + offs[s + 1] : zero;
-            const float* r2 = offs[s + 2] >= 0 ? vdata + offs[s + 2] : zero;
-            const float* r3 = offs[s + 3] >= 0 ? vdata + offs[s + 3] : zero;
-            const float t0 = t0s[base + p];
-            const float t1 = t1s[base + p];
-            const float w = prow[l * m.n_points + p];
-            if constexpr (DH > 0) {
-              for (int c = 0; c < DH; ++c) {
-                acc[c] += w * nn::bi_horner(r0[c], r1[c], r2[c], r3[c], t0, t1);
-              }
-            } else {
-              for (int c = 0; c < dh; ++c) {
-                head_out[c] += w * nn::bi_horner(r0[c], r1[c], r2[c], r3[c], t0, t1);
-              }
-            }
-          }
-        }
-        if constexpr (DH > 0) {
-          for (int c = 0; c < DH; ++c) head_out[c] = acc[c];
-        }
-      }
-    }
-  });
-}
+// The INTn scalar tier: same structure as the vector tiers (plan-driven
+// gather, zero-row padding, per-(query, head) accumulator) with the
+// channel loop in scalar form.  This is the code the AVX2/NEON tiers must
+// reproduce lane-for-lane.
 
-void run_fp32_planned(const ModelConfig& m, const Tensor& values, const Tensor& probs,
-                      const SamplingPlan& plan, const prune::PointMask* pmask,
-                      Tensor& out) {
-  switch (m.d_head()) {
-    case 8:  run_fp32_impl<8>(m, values, probs, plan, pmask, out); break;
-    case 16: run_fp32_impl<16>(m, values, probs, plan, pmask, out); break;
-    case 32: run_fp32_impl<32>(m, values, probs, plan, pmask, out); break;
-    case 64: run_fp32_impl<64>(m, values, probs, plan, pmask, out); break;
-    default: run_fp32_impl<0>(m, values, probs, plan, pmask, out); break;
-  }
-}
-
-void run_quantized_planned(const ModelConfig& m, const Tensor& values,
-                           const Tensor& probs, const SamplingPlan& plan,
-                           const MsgsSpec& spec, Tensor& out) {
+void run_quant_scalar(const QuantArgs& a) {
+  const ModelConfig& m = *a.m;
   const int dh = m.d_head();
   const int lp = m.points_per_head();
-  const std::int32_t* offs = plan.offsets().data();
-  const float* t0s = plan.t0().data();
-  const float* t1s = plan.t1().data();
-  const quant::QTensor qvalues(values, spec.act_bits);
-  const float out_scale = qvalues.spec().scale;
+  const std::int32_t* offs = a.plan->offsets().data();
+  const float* t0s = a.plan->t0().data();
+  const float* t1s = a.plan->t1().data();
   const std::vector<std::int16_t> zero_row(static_cast<std::size_t>(dh), 0);
   const std::int16_t* zero = zero_row.data();
 
   parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
     std::vector<std::int32_t> acc(static_cast<std::size_t>(dh));
-    const std::int16_t* codes = qvalues.codes().data();
-    const float* pdata = probs.data().data();
     for (std::int64_t q = begin; q < end; ++q) {
-      std::span<float> orow = out.row(q);
       for (int h = 0; h < m.n_heads; ++h) {
-        const float* prow = &pdata[static_cast<std::size_t>((q * m.n_heads + h) * lp)];
+        const float* prow = a.probs + static_cast<std::size_t>((q * m.n_heads + h) * lp);
         std::fill(acc.begin(), acc.end(), 0);
         for (int l = 0; l < m.n_levels; ++l) {
-          const std::int64_t base = plan.slot(l, q, h, 0);
+          const std::int64_t base = a.plan->slot(l, q, h, 0);
           for (int p = 0; p < m.n_points; ++p) {
-            if (spec.point_mask != nullptr && !spec.point_mask->keep(q, h, l, p)) continue;
+            if (a.mask != nullptr && !a.mask->keep(q, h, l, p)) continue;
             const std::int32_t prob_q =
-                quant::to_fraction_code(prow[l * m.n_points + p], spec.frac_bits);
+                quant::to_fraction_code(prow[l * m.n_points + p], a.frac_bits);
             if (prob_q == 0) continue;
             const std::int64_t s = (base + p) * 4;
-            const std::int16_t* r0 = offs[s + 0] >= 0 ? codes + offs[s + 0] : zero;
-            const std::int16_t* r1 = offs[s + 1] >= 0 ? codes + offs[s + 1] : zero;
-            const std::int16_t* r2 = offs[s + 2] >= 0 ? codes + offs[s + 2] : zero;
-            const std::int16_t* r3 = offs[s + 3] >= 0 ? codes + offs[s + 3] : zero;
-            const std::int32_t t0_q = quant::to_fraction_code(t0s[base + p], spec.frac_bits);
-            const std::int32_t t1_q = quant::to_fraction_code(t1s[base + p], spec.frac_bits);
+            const std::int16_t* r0 = offs[s + 0] >= 0 ? a.codes + offs[s + 0] : zero;
+            const std::int16_t* r1 = offs[s + 1] >= 0 ? a.codes + offs[s + 1] : zero;
+            const std::int16_t* r2 = offs[s + 2] >= 0 ? a.codes + offs[s + 2] : zero;
+            const std::int16_t* r3 = offs[s + 3] >= 0 ? a.codes + offs[s + 3] : zero;
+            const std::int32_t t0_q = quant::to_fraction_code(t0s[base + p], a.frac_bits);
+            const std::int32_t t1_q = quant::to_fraction_code(t1s[base + p], a.frac_bits);
             for (int c = 0; c < dh; ++c) {
-              const std::int32_t bi =
-                  quant::bi_horner_int(r0[c], r1[c], r2[c], r3[c], t0_q, t1_q,
-                                       spec.frac_bits);
+              const std::int32_t bi = quant::bi_horner_int(r0[c], r1[c], r2[c], r3[c],
+                                                           t0_q, t1_q, a.frac_bits);
               acc[static_cast<std::size_t>(c)] +=
-                  quant::ag_weight_int(bi, prob_q, spec.frac_bits);
+                  quant::ag_weight_int(bi, prob_q, a.frac_bits);
             }
           }
         }
-        float* head_out = &orow[static_cast<std::size_t>(h) * dh];
+        float* head_out = a.out + static_cast<std::size_t>(q * m.d_model + h * dh);
         for (int c = 0; c < dh; ++c) {
-          head_out[c] = static_cast<float>(acc[static_cast<std::size_t>(c)]) * out_scale;
+          head_out[c] = static_cast<float>(acc[static_cast<std::size_t>(c)]) * a.out_scale;
         }
       }
     }
-  });
+  }, min_parallel_queries(m));
 }
+
+namespace {
+
+using simd::Isa;
+
+bool tier_compiled(Isa isa) noexcept {
+  switch (isa) {
+    case Isa::kAvx2: return avx2_compiled();
+    case Isa::kNeon: return neon_compiled();
+    case Isa::kScalar: break;
+  }
+  return true;
+}
+
+}  // namespace
+
+TierResolution resolve_tier() {
+  const simd::IsaRequest req = simd::requested_isa();
+  TierResolution r;
+  if (!req.valid) {
+    r.reason = "unknown DEFA_SIMD value '" + req.raw +
+               "' (known: auto, scalar, avx2, neon)";
+    return r;
+  }
+  if (req.forced) {
+    if (!tier_compiled(req.isa)) {
+      r.reason = std::string("DEFA_SIMD=") + simd::isa_name(req.isa) + " but the " +
+                 simd::isa_name(req.isa) +
+                 " kernels are not compiled into this binary (DEFA_KERNELS_SIMD "
+                 "cmake knob off, or wrong target architecture)";
+    } else if (!simd::cpu_supports(req.isa)) {
+      r.reason = std::string("DEFA_SIMD=") + simd::isa_name(req.isa) +
+                 " but this CPU does not support " + simd::isa_name(req.isa);
+    } else {
+      r.isa = req.isa;
+    }
+    return r;
+  }
+  for (const Isa candidate : {Isa::kAvx2, Isa::kNeon}) {
+    if (tier_compiled(candidate) && simd::cpu_supports(candidate)) {
+      r.isa = candidate;
+      return r;
+    }
+  }
+  r.isa = Isa::kScalar;
+  return r;
+}
+
+}  // namespace simd_detail
+
+namespace {
+
+using simd::Isa;
 
 class FusedBackend final : public Backend {
  public:
@@ -180,22 +187,19 @@ class FusedBackend final : public Backend {
 
   [[nodiscard]] bool wants_plan() const noexcept override { return true; }
 
-  [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b) const override {
-    return nn::matmul(a, b);
-  }
-
-  [[nodiscard]] Tensor linear(const Tensor& x, const Tensor& w,
-                              const Tensor* bias) const override {
-    return nn::linear(x, w, bias);
-  }
-
-  [[nodiscard]] Tensor softmax_lastdim(const Tensor& t) const override {
-    return nn::softmax_lastdim(t);
+  [[nodiscard]] std::string unavailable_reason() const override {
+    return simd_detail::resolve_tier().reason;
   }
 
   [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
                                 const Tensor& probs, const Tensor& locs,
                                 const MsgsSpec& spec) const override {
+    // Resolved per call, like kernels::default_backend_name re-reads
+    // DEFA_BACKEND: getenv cost is noise next to the kernel, and tests can
+    // flip tiers without rebuilding process state.
+    const simd_detail::TierResolution res = simd_detail::resolve_tier();
+    DEFA_CHECK(res.reason.empty(), "fused backend unavailable: " + res.reason);
+
     SamplingPlan local;
     const SamplingPlan* plan = spec.plan;
     if (plan == nullptr) {
@@ -205,9 +209,42 @@ class FusedBackend final : public Backend {
     DEFA_CHECK(plan->matches(m), "fused backend: sampling plan does not match the model");
     Tensor out({m.n_in(), m.d_model});
     if (spec.quantized) {
-      run_quantized_planned(m, values, probs, *plan, spec, out);
+      const quant::QTensor qvalues(values, spec.act_bits);
+      simd_detail::QuantArgs qa;
+      qa.m = &m;
+      qa.codes = qvalues.codes().data();
+      qa.probs = probs.data().data();
+      qa.plan = plan;
+      qa.mask = spec.point_mask;
+      qa.out = out.data().data();
+      qa.out_scale = qvalues.spec().scale;
+      qa.frac_bits = spec.frac_bits;
+      // Wide configs would overflow the vector tiers' int32 intermediates;
+      // the scalar tier multiplies in int64 like the reference backend.
+      const bool vector_safe =
+          spec.act_bits + spec.frac_bits <= simd_detail::kMaxVectorQuantBits;
+      switch (vector_safe ? res.isa : Isa::kScalar) {
+        case Isa::kAvx2: simd_detail::run_quant_avx2(qa); break;
+        case Isa::kNeon: simd_detail::run_quant_neon(qa); break;
+        case Isa::kScalar: simd_detail::run_quant_scalar(qa); break;
+      }
     } else {
-      run_fp32_planned(m, values, probs, *plan, spec.point_mask, out);
+      const std::vector<float> zero_row(static_cast<std::size_t>(m.d_head()), 0.0f);
+      simd_detail::Fp32Args fa;
+      fa.m = &m;
+      fa.values = values.data().data();
+      fa.probs = probs.data().data();
+      fa.plan = plan;
+      fa.mask = spec.point_mask;
+      fa.zero = zero_row.data();
+      fa.out = out.data().data();
+      // NEON needs no separate fp32 build: the portable one already
+      // vectorizes with it on AArch64.
+      if (res.isa == Isa::kAvx2) {
+        simd_detail::run_fp32_avx2(fa);
+      } else {
+        simd_detail::run_fp32_portable(fa);
+      }
     }
     return out;
   }

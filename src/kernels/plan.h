@@ -19,7 +19,6 @@
 /// already follows.
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,82 +81,14 @@ class SamplingPlan {
   std::vector<float> t0_, t1_;
 };
 
-/// Per-level query-visit schedule derived from a `SamplingPlan`: the
-/// gather-locality reorder of the `quill` backend (QUILL, PAPERS.md).
-///
-/// Within one level every query's sampling footprint lands in a small
-/// neighborhood of value memory (the resolved offsets of its 2x2
-/// neighborhoods).  Bucketing queries by the value-memory *tile* that
-/// footprint first touches — tile key = first in-bounds resolved offset,
-/// in slot-scan order, divided by `tile_elems` — and visiting queries
-/// tile-by-tile turns the level's random-access miss storm into a sweep
-/// whose working set fits in cache.  The permutation changes only the
-/// order *queries* are visited; each query's own accumulation chain
-/// (levels ascending, points ascending) is untouched, so results stay
-/// bit-identical to `reference`.
-class LocalityPlan {
- public:
-  /// Tile key of a query whose footprint is entirely out of bounds (all
-  /// four neighbors of every point zero-padded).  Sorts after every real
-  /// tile so such queries are visited last.
-  static constexpr std::int32_t kNoTile = std::numeric_limits<std::int32_t>::max();
-
-  /// One contiguous run of same-tile queries in `order(l)`.
-  struct TileRange {
-    std::int32_t key = 0;     ///< value-memory tile index, or kNoTile
-    std::int64_t begin = 0;   ///< position range [begin, end) into order(l)
-    std::int64_t end = 0;
-  };
-
-  /// Derive the schedule from a built sampling plan.  `tile_elems` is the
-  /// tile size in float elements (see locality_tile_elems()); callers may
-  /// pass any positive value — 1 and huge values are the degenerate
-  /// one-query-per-tile / everything-one-tile schedules the determinism
-  /// tests exercise.  Deterministic: the per-level permutation is the
-  /// stable sort of query ids by (tile key, query id).
-  [[nodiscard]] static LocalityPlan build(const ModelConfig& m, const SamplingPlan& plan,
-                                          std::int64_t tile_elems);
-
-  /// Level `l`'s query-visit permutation, n_in() entries.
-  [[nodiscard]] const std::int32_t* order(int l) const noexcept {
-    return order_.data() + static_cast<std::size_t>(l) * static_cast<std::size_t>(n_in_);
-  }
-  /// Level `l`'s tile runs, ascending by key (kNoTile last).
-  [[nodiscard]] const std::vector<TileRange>& tiles(int l) const noexcept {
-    return tiles_[static_cast<std::size_t>(l)];
-  }
-
-  [[nodiscard]] std::int64_t n_in() const noexcept { return n_in_; }
-  [[nodiscard]] int n_levels() const noexcept { return n_levels_; }
-  [[nodiscard]] std::int64_t tile_elems() const noexcept { return tile_elems_; }
-
-  [[nodiscard]] bool matches(const ModelConfig& m) const noexcept {
-    return n_in_ == m.n_in() && n_levels_ == m.n_levels;
-  }
-
- private:
-  std::int64_t n_in_ = 0;
-  int n_levels_ = 0;
-  std::int64_t tile_elems_ = 0;
-  std::vector<std::int32_t> order_;        ///< n_levels x n_in, level-major
-  std::vector<std::vector<TileRange>> tiles_;
-};
-
-/// Value-memory tile size in float elements for locality planning, from
-/// the `DEFA_L2_KB` environment knob (default 256 KB — a conservative
-/// per-core L2 slice).  Re-read per call, like DEFA_BACKEND, so tests and
-/// benchmarks can sweep tile sizes without rebuilding process state.
-[[nodiscard]] std::int64_t locality_tile_elems();
-
-/// Thread-safe keyed cache of shared SamplingPlans and LocalityPlans with
-/// hit/miss counters, mirroring core::ContextPool's role one level down:
+/// Thread-safe keyed cache of shared SamplingPlans with hit/miss counters, mirroring core::ContextPool's role one level down:
 /// one plan per (workload, layer), built once, reused by every PruneConfig
 /// whose locations are the dense cached geometry.
 class PlanCache {
  public:
   struct Stats {
-    std::uint64_t hits = 0;    ///< get()/get_locality() found the key resident
-    std::uint64_t misses = 0;  ///< get()/get_locality() built a fresh plan
+    std::uint64_t hits = 0;    ///< get() found the key resident
+    std::uint64_t misses = 0;  ///< get() built a fresh plan
   };
 
   /// Process-wide totals across every PlanCache instance (plan caches live
@@ -182,13 +113,6 @@ class PlanCache {
                                                         const ModelConfig& m,
                                                         const Tensor& locs);
 
-  /// Return the locality plan cached under `key`, deriving it from the
-  /// sampling plan on first use.  Callers must bake `tile_elems` into the
-  /// key — the knob can change between calls.
-  [[nodiscard]] std::shared_ptr<const LocalityPlan> get_locality(
-      const std::string& key, const ModelConfig& m, const SamplingPlan& plan,
-      std::int64_t tile_elems);
-
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] Stats stats() const;
   void clear();
@@ -201,7 +125,6 @@ class PlanCache {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const SamplingPlan>> plans_;
-  std::map<std::string, std::shared_ptr<const LocalityPlan>> locality_;
   Stats stats_;
 };
 

@@ -1,9 +1,8 @@
 // The `reference` backend: the historical scalar code paths, verbatim.
 //
-// linear/GEMM and softmax delegate to the nn/ kernels; the fused MSGS +
-// aggregation kernel is the query-at-a-time loop that used to live in
-// core/msgs.cpp (fp32 path identical to nn::msgs_aggregate_ref plus point
-// masking; INTn path per Sec. 4.3).  This backend is the bit-exactness
+// The fused MSGS + aggregation kernel is the query-at-a-time loop that
+// used to live in core/msgs.cpp (fp32 path identical to
+// nn::msgs_aggregate_ref plus point masking; INTn path per Sec. 4.3).  This backend is the bit-exactness
 // anchor every optimized backend is tested against — keep it boring.
 
 #include <array>
@@ -12,8 +11,6 @@
 #include "common/parallel.h"
 #include "kernels/backend.h"
 #include "nn/bilinear.h"
-#include "nn/linear.h"
-#include "nn/softmax.h"
 #include "quant/fixed_point.h"
 #include "quant/qmsgs.h"
 
@@ -104,19 +101,6 @@ class ReferenceBackend final : public Backend {
   [[nodiscard]] const std::string& name() const noexcept override {
     static const std::string kName = "reference";
     return kName;
-  }
-
-  [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b) const override {
-    return nn::matmul(a, b);
-  }
-
-  [[nodiscard]] Tensor linear(const Tensor& x, const Tensor& w,
-                              const Tensor* bias) const override {
-    return nn::linear(x, w, bias);
-  }
-
-  [[nodiscard]] Tensor softmax_lastdim(const Tensor& t) const override {
-    return nn::softmax_lastdim(t);
   }
 
   [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,

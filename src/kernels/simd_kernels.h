@@ -1,26 +1,29 @@
 #pragma once
 
 /// \file simd_kernels.h
-/// Internal interface between the `simd` backend and its per-ISA kernel
-/// translation units.  Not part of the public kernels API.
+/// Internal interface between the `fused` backend and its per-ISA tiers.
+/// Not part of the public kernels API.
 ///
-/// Each ISA tier implements the same two entry points — the fp32 and the
-/// INTn fused MSGS + aggregation loops over a `SamplingPlan` — against the
-/// flat argument views below.  The AVX2 tier lives in its own TU
-/// (simd_avx2.cpp) so it can be compiled with `-mavx2` without raising the
-/// ISA floor of the rest of the binary; whether that TU contains real
-/// kernels or stubs is reported by `*_compiled()` and decided by the
-/// `DEFA_KERNELS_SIMD` CMake knob.  The scalar tier (simd_backend.cpp) is
-/// the always-available portable fallback and the semantic model the
-/// vector tiers must match bit-for-bit.
+/// Each ISA tier implements the fused MSGS + aggregation loops over a
+/// `SamplingPlan` against the flat argument views below.  The AVX2 tier
+/// lives in its own TU (simd_avx2.cpp) so it can be compiled with `-mavx2`
+/// without raising the ISA floor of the rest of the binary; whether that
+/// TU contains real kernels or stubs is reported by `*_compiled()` and
+/// decided by the `DEFA_KERNELS_SIMD` CMake knob.
+///  * fp32: one register-tile loop (fused_fp32.h), built at the portable
+///    ISA floor in fused_backend.cpp and with -mavx2 in simd_avx2.cpp.  On
+///    AArch64 the portable build is already NEON-vectorized.
+///  * INTn: hand-written AVX2 / NEON intrinsics plus the portable scalar
+///    tier (fused_backend.cpp), the semantic model the vector tiers must
+///    match bit-for-bit.
 ///
 /// Bit-exactness rule for implementers: every lane must execute exactly
 /// the scalar operation chain — `nn::bi_horner` for fp32,
 /// `quant::bi_horner_int` / `quant::ag_weight_int` for INTn — on the same
-/// operands in the same order.  Elementwise vector mul/add are IEEE-754
-/// identical to their scalar forms, so vectorizing across *channels* is
-/// safe; reassociating across *points* is not.
+/// operands in the same order.  Vectorizing across *channels* is safe;
+/// reassociating across *points* is not.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -41,6 +44,7 @@ struct Fp32Args {
   const float* probs = nullptr;         ///< (N, H, L*P) row-major
   const SamplingPlan* plan = nullptr;   ///< matches `m`, built from the locs
   const prune::PointMask* mask = nullptr;  ///< nullable
+  const float* zero = nullptr;          ///< d_head zeros (padding row)
   float* out = nullptr;                 ///< (N, D), zero-initialized
 };
 
@@ -49,16 +53,16 @@ struct Fp32Args {
 struct QuantArgs {
   const ModelConfig* m = nullptr;
   const std::int16_t* codes = nullptr;  ///< INTn value codes, (N_in x D)
-  const float* probs = nullptr;
-  const SamplingPlan* plan = nullptr;
-  const prune::PointMask* mask = nullptr;
-  float* out = nullptr;
+  const float* probs = nullptr;         ///< (N, H, L*P) row-major
+  const SamplingPlan* plan = nullptr;   ///< matches `m`, built from the locs
+  const prune::PointMask* mask = nullptr;  ///< nullable
+  float* out = nullptr;                 ///< (N, D)
   float out_scale = 1.0f;               ///< value-code scale for the output
   int frac_bits = 12;                   ///< t0/t1 and probability width
 };
 
-// ---- scalar tier (simd_backend.cpp; always compiled) ----------------------
-void run_fp32_scalar(const Fp32Args& a);
+// ---- portable tier (fused_backend.cpp; always compiled) -------------------
+void run_fp32_portable(const Fp32Args& a);
 void run_quant_scalar(const QuantArgs& a);
 
 // ---- AVX2 tier (simd_avx2.cpp; real iff avx2_compiled()) ------------------
@@ -68,41 +72,27 @@ void run_quant_avx2(const QuantArgs& a);
 
 // ---- NEON tier (simd_neon.cpp; real iff neon_compiled()) ------------------
 [[nodiscard]] bool neon_compiled() noexcept;
-void run_fp32_neon(const Fp32Args& a);
 void run_quant_neon(const QuantArgs& a);
 
-// ---- level-scoped entry points (the `quill` backend's inner loops) --------
-//
-// One call processes every query's points of a *single* level, visiting
-// queries in the order of the `order` permutation (n_in entries).  The
-// fp32 form resumes each (query, head) accumulator chain by loading the
-// current partial from the output row and storing it back after the
-// level's points — fp32 load/store round-trips bits, so running levels
-// 0..L-1 sequentially reproduces the one-pass chain exactly.  The INTn
-// form accumulates into a caller-owned (N_in x D) int32 scratch `acc`
-// (int32 partials do NOT round-trip through float); the caller converts
-// once, in fixed query order, after the last level.  Within one level the
-// permutation touches disjoint queries, so parallelizing over `order`
-// positions is race-free.
-
-void run_fp32_level_scalar(const Fp32Args& a, int level, const std::int32_t* order);
-void run_quant_level_scalar(const QuantArgs& a, int level, const std::int32_t* order,
-                            std::int32_t* acc);
-void run_fp32_level_avx2(const Fp32Args& a, int level, const std::int32_t* order);
-void run_quant_level_avx2(const QuantArgs& a, int level, const std::int32_t* order,
-                          std::int32_t* acc);
-void run_fp32_level_neon(const Fp32Args& a, int level, const std::int32_t* order);
-void run_quant_level_neon(const QuantArgs& a, int level, const std::int32_t* order,
-                          std::int32_t* acc);
-
 /// Outcome of the three-layer tier dispatch (DEFA_SIMD request x build x
-/// CPU) shared by the `simd` and `quill` backends.
+/// CPU) of the `fused` backend.
 struct TierResolution {
   simd::Isa isa = simd::Isa::kScalar;
-  std::string reason;  ///< nonempty => the vector backends are unavailable
+  std::string reason;  ///< nonempty => the fused backend is unavailable
 };
 
 [[nodiscard]] TierResolution resolve_tier();
+
+/// parallel_for grain of the fused loops, in queries: a call is split
+/// across the pool once it carries ~2^18 channel operations, so one
+/// mid-size request (a few thousand queries of the default model) uses
+/// every core instead of running inline below the generic 4096-query
+/// threshold.  Chunks stay query-disjoint, so results are unchanged.
+[[nodiscard]] inline std::int64_t min_parallel_queries(const ModelConfig& m) noexcept {
+  const std::int64_t per_query =
+      std::max<std::int64_t>(1, std::int64_t{m.d_model} * m.points_per_head());
+  return std::max<std::int64_t>(1, (std::int64_t{1} << 18) / per_query);
+}
 
 /// Largest `act_bits + frac_bits` for which the vectorized INTn path's
 /// int32 intermediates provably cannot overflow (|bi| <= 9*2^(act_bits-1),

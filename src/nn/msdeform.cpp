@@ -138,8 +138,8 @@ Tensor msdeform_forward_ref(const ModelConfig& m, const Tensor& x,
                             const kernels::Backend* backend) {
   const kernels::Backend& b = kernels::backend_or_default(backend);
   const MsdaFields f = fields_from_weights(m, x, ref_norm, weights);
-  const Tensor probs = b.softmax_lastdim(f.logits);
-  const Tensor values = b.linear(x, weights.w_value, &weights.b_value);
+  const Tensor probs = softmax_lastdim(f.logits);
+  const Tensor values = linear(x, weights.w_value, &weights.b_value);
   return b.run_msgs(m, values, probs, f.locs, kernels::MsgsSpec{});
 }
 

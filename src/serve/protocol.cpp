@@ -207,9 +207,9 @@ ServerReconfig reconfig_from_params(const api::Json& params) {
                                     "' (fifo|locality)");
       rc.policy = *p;
     } else if (key == "locality_window") {
-      const std::int64_t w = value.as_int();
+      const int w = value.as_int32();
       DEFA_CHECK(w >= 1, "protocol: 'locality_window' must be >= 1");
-      rc.locality_window = static_cast<int>(w);
+      rc.locality_window = w;
     } else if (key == "backend") {
       const std::string b = value.as_string();
       DEFA_CHECK(b.empty() || kernels::find_backend(b) != nullptr,

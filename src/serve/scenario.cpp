@@ -31,7 +31,7 @@ void parse_arrival(const api::Json& j, LoadGenOptions& out) {
     DEFA_CHECK(!j.contains("rate_qps"),
                "scenario: 'rate_qps' is an open-loop setting (process is 'closed')");
     if (const api::Json* c = j.find("concurrency")) {
-      out.concurrency = static_cast<int>(c->as_int());
+      out.concurrency = c->as_int32();
       DEFA_CHECK(out.concurrency > 0, "scenario: 'concurrency' must be positive");
     }
     return;
@@ -59,7 +59,7 @@ void parse_server(const api::Json& j, ServerOptions& out) {
               "max_parallel_requests", "backend"},
              "'server'");
   if (const api::Json* v = j.find("workers")) {
-    out.max_concurrency = static_cast<int>(v->as_int());
+    out.max_concurrency = v->as_int32();
   }
   if (const api::Json* v = j.find("queue_capacity")) {
     const std::int64_t cap = v->as_int();
@@ -73,7 +73,7 @@ void parse_server(const api::Json& j, ServerOptions& out) {
     out.policy = *p;
   }
   if (const api::Json* v = j.find("locality_window")) {
-    out.locality_window = static_cast<int>(v->as_int());
+    out.locality_window = v->as_int32();
     DEFA_CHECK(out.locality_window >= 1,
                "scenario: 'locality_window' must be >= 1");
   }
@@ -93,10 +93,11 @@ void parse_server(const api::Json& j, ServerOptions& out) {
   if (const api::Json* v = j.find("backend")) {
     out.engine.backend = v->as_string();
     DEFA_CHECK(kernels::find_backend(out.engine.backend) != nullptr,
-               "scenario: unknown backend '" + out.engine.backend + "'");
+               "scenario: unknown backend '" + out.engine.backend +
+                   "' (known: " + kernels::known_backends() + ")");
   }
   if (const api::Json* v = j.find("max_parallel_requests")) {
-    out.engine.max_parallel_requests = static_cast<int>(v->as_int());
+    out.engine.max_parallel_requests = v->as_int32();
   }
 }
 
@@ -150,9 +151,9 @@ SweepSpec parse_sweep(const api::Json& j) {
     DEFA_CHECK(concs->is_array() && concs->size() > 0,
                "scenario: 'sweep.concurrency' must be a non-empty array");
     for (const api::Json& c : concs->items()) {
-      const std::int64_t n = c.as_int();
+      const int n = c.as_int32();
       DEFA_CHECK(n > 0, "scenario: sweep concurrencies must be positive");
-      sweep.concurrencies.push_back(static_cast<int>(n));
+      sweep.concurrencies.push_back(n);
     }
   }
   DEFA_CHECK(!sweep.rates_qps.empty() || !sweep.concurrencies.empty(),
@@ -184,7 +185,7 @@ ScenarioFile scenario_file_from_json(const api::Json& j) {
   ScenarioFile file;
   if (const api::Json* n = j.find("name")) file.name = n->as_string();
   if (const api::Json* r = j.find("requests")) {
-    file.base.requests = static_cast<int>(r->as_int());
+    file.base.requests = r->as_int32();
     DEFA_CHECK(file.base.requests > 0, "scenario: 'requests' must be positive");
   }
   if (const api::Json* s = j.find("seed")) {

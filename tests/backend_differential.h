@@ -56,8 +56,8 @@ namespace defa::difftest {
 // ------------------------------------------------------------------ env RAII
 
 /// Scoped environment-variable override (save on construction, restore on
-/// destruction) for the DEFA_SIMD / DEFA_TILED_THREADS / DEFA_BACKEND
-/// knobs the differential tests flip.
+/// destruction) for the DEFA_SIMD / DEFA_BACKEND knobs the differential
+/// tests flip.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -122,7 +122,7 @@ inline std::vector<DiffModel> differential_models() {
                    make_model("dhead" + std::to_string(dh), 2 * dh, 2, 3,
                               {{6, 7}, {3, 4}})});
   }
-  // Level-count sweep 1..4 (level-major plan layout, per-level work lists).
+  // Level-count sweep 1..4 (level-major plan layout).
   out.push_back({"levels1", make_model("levels1", 32, 2, 2, {{7, 6}})});
   out.push_back({"levels3", make_model("levels3", 32, 2, 2, {{7, 6}, {4, 3}, {2, 2}})});
   out.push_back(

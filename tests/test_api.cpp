@@ -169,6 +169,33 @@ TEST(EvalRequest, MalformedCustomModelThrows) {
   EXPECT_THROW(req.validate(), CheckError);
 }
 
+// A number outside int range must be refused, not narrowed into a
+// different request: 4294967297 used to wrap to a height-1 level.
+TEST(EvalRequest, OutOfIntRangeNumbersRejected) {
+  const auto with_model = [](const std::string& levels, const std::string& extra) {
+    return Json::parse(R"({"model": {"name": "m", "d_model": 16, "n_heads": 2,
+      "n_levels": 1, "n_points": 2, "n_layers": 1, "levels": )" +
+                       levels + "}" + extra + "}");
+  };
+  EXPECT_NO_THROW((void)eval_request_from_json(with_model("[[8, 8]]", "")));
+  for (const Json& bad : {
+           with_model("[[4294967297, 8]]", ""),
+           with_model("[[8, -4294967295]]", ""),
+           with_model("[[8, 8]]", R"(, "prune": {"bits": 4294967308})"),
+           with_model("[[8, 8]]", R"(, "hw": {"pe_lanes": 2147483648})"),
+           with_model("[[8, 8]]", R"(, "outputs": 4294967297)"),
+           with_model("[[8, 8]]", R"(, "scene": {"n_objects": 1e300})"),
+       }) {
+    try {
+      (void)eval_request_from_json(bad);
+      ADD_FAILURE() << "accepted " << bad.dump();
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of int"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(EvalRequest, ValidRequestPasses) {
   EXPECT_NO_THROW(tiny_request(kAllOutputs).validate());
 }

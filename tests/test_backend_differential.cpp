@@ -5,9 +5,8 @@
 // (EncoderPipeline under every PruneConfig factory), and at the Engine
 // level (request backend overlays, batched execution, randomized fuzz
 // requests).  Plus the satellites that ride on the harness: the
-// >=512-channel register-tile cap regression, the simd backend's ISA
-// dispatch/availability semantics, and tiled-backend determinism across
-// thread counts and under a loaded pool.
+// >=512-channel register-tile cap regression and the fused backend's
+// INTn ISA dispatch/availability semantics.
 
 #include <gtest/gtest.h>
 
@@ -32,42 +31,21 @@ using difftest::ScopedEnv;
 
 // ------------------------------------------------------ kernel-level matrix
 
-TEST(KernelDifferential, Fused) { difftest::run_kernel_differential("fused"); }
+TEST(KernelDifferential, Fused) {
+  // Best tier this build and CPU offer (AVX2 / NEON / scalar).
+  const ScopedEnv auto_tier("DEFA_SIMD", "auto");
+  difftest::run_kernel_differential("fused");
+}
 
-TEST(KernelDifferential, Simd) { difftest::run_kernel_differential("simd"); }
-
-TEST(KernelDifferential, SimdScalarTier) {
-  // The portable fallback shim must hold the same contract as the vector
+TEST(KernelDifferential, FusedScalarTier) {
+  // The portable INTn fallback must hold the same contract as the vector
   // tiers — this is what the CI scalar-fallback build (DEFA_KERNELS_SIMD
   // off) runs implicitly, proven here on every host.
   const ScopedEnv force("DEFA_SIMD", "scalar");
-  difftest::run_kernel_differential("simd");
+  difftest::run_kernel_differential("fused");
 }
 
-TEST(KernelDifferential, Tiled) { difftest::run_kernel_differential("tiled"); }
-
-TEST(KernelDifferential, TiledSingleThread) {
-  const ScopedEnv threads("DEFA_TILED_THREADS", "1");
-  difftest::run_kernel_differential("tiled");
-}
-
-TEST(KernelDifferential, Quill) { difftest::run_kernel_differential("quill"); }
-
-TEST(KernelDifferential, QuillScalarTier) {
-  // Forces the quill backend's scalar per-level kernels (the tier quill
-  // shares with the simd backend via simd_detail::resolve_tier()).
-  const ScopedEnv force("DEFA_SIMD", "scalar");
-  difftest::run_kernel_differential("quill");
-}
-
-TEST(KernelDifferential, QuillReorderDisabled) {
-  // DEFA_QUILL_REORDER=off replaces the locality permutation with the
-  // identity order (the bench control); the contract must hold either way.
-  const ScopedEnv off("DEFA_QUILL_REORDER", "off");
-  difftest::run_kernel_differential("quill");
-}
-
-// ------------------------------------------------------- simd ISA dispatch
+// ------------------------------------------------- fused INTn ISA dispatch
 
 /// An ISA no current host supports alongside its own (x86 has no NEON,
 /// ARM has no AVX2) — there is always one to force-fail with.
@@ -77,7 +55,7 @@ const char* unsupported_isa_name() {
 
 TEST(SimdDispatch, ForcedUnsupportedIsaReportsUnavailable) {
   const ScopedEnv force("DEFA_SIMD", unsupported_isa_name());
-  const kernels::Backend& bk = kernels::backend("simd");
+  const kernels::Backend& bk = kernels::backend("fused");
   const std::string reason = bk.unavailable_reason();
   EXPECT_FALSE(reason.empty());
   EXPECT_NE(reason.find(unsupported_isa_name()), std::string::npos)
@@ -92,27 +70,26 @@ TEST(SimdDispatch, ForcedUnsupportedIsaReportsUnavailable) {
 
 TEST(SimdDispatch, UnknownValueReportsUnavailable) {
   const ScopedEnv force("DEFA_SIMD", "avx512-of-the-future");
-  const kernels::Backend& bk = kernels::backend("simd");
+  const kernels::Backend& bk = kernels::backend("fused");
   const std::string reason = bk.unavailable_reason();
   EXPECT_NE(reason.find("unknown DEFA_SIMD"), std::string::npos) << reason;
 }
 
 TEST(SimdDispatch, ScalarForceAlwaysAvailable) {
   const ScopedEnv force("DEFA_SIMD", "scalar");
-  EXPECT_TRUE(kernels::backend("simd").unavailable_reason().empty());
+  EXPECT_TRUE(kernels::backend("fused").unavailable_reason().empty());
 }
 
 TEST(SimdDispatch, AutoAlwaysAvailable) {
   const ScopedEnv force("DEFA_SIMD", nullptr);
-  EXPECT_TRUE(kernels::backend("simd").unavailable_reason().empty());
+  EXPECT_TRUE(kernels::backend("fused").unavailable_reason().empty());
   const ScopedEnv force2("DEFA_SIMD", "auto");
-  EXPECT_TRUE(kernels::backend("simd").unavailable_reason().empty());
+  EXPECT_TRUE(kernels::backend("fused").unavailable_reason().empty());
 }
 
-TEST(SimdDispatch, OtherBackendsAlwaysAvailable) {
-  for (const char* name : {"reference", "fused", "tiled", "quill"}) {
-    EXPECT_TRUE(kernels::backend(name).unavailable_reason().empty()) << name;
-  }
+TEST(SimdDispatch, ReferenceIgnoresForcedIsa) {
+  const ScopedEnv force("DEFA_SIMD", unsupported_isa_name());
+  EXPECT_TRUE(kernels::backend("reference").unavailable_reason().empty());
 }
 
 // ------------------------------------------- d_head register-tile cap (512)
@@ -287,36 +264,13 @@ TEST(FuzzDifferential, RandomRequestsAllBackends) {
   }
 }
 
-// ------------------------------------------------------ tiled determinism
+// ----------------------------------------------------- loaded-pool batch
 
-// The tiled backend's output must be a pure function of the inputs — the
-// same bytes at every thread count (1, 2, all) and with level x tile
-// items racing on the shared pool.  "small" is large enough (1700
-// queries, 4 levels) that work items genuinely interleave.
-TEST(TiledDeterminism, ThreadCountInvariant) {
-  const ModelConfig m = ModelConfig::small();
-  const DiffInputs in = difftest::make_inputs(m, 21);
-  const kernels::Backend& tiled = kernels::backend("tiled");
-  for (const bool quantized : {false, true}) {
-    kernels::MsgsSpec spec;
-    spec.quantized = quantized;
-    const Tensor expect =
-        kernels::backend("reference").run_msgs(m, in.values, in.probs, in.locs, spec);
-    for (const char* threads : {"1", "2", static_cast<const char*>(nullptr)}) {
-      const ScopedEnv env("DEFA_TILED_THREADS", threads);
-      ASSERT_TRUE(difftest::expect_bits_equal(
-          expect, tiled.run_msgs(m, in.values, in.probs, in.locs, spec),
-          std::string("[tiled threads=") + (threads != nullptr ? threads : "all") +
-              (quantized ? " int12]" : " fp32]")));
-    }
-  }
-}
-
-// run_batch evaluates concurrently on the same pool the tiled backend's
-// work items execute on — nested parallelism plus cross-request
+// run_batch evaluates concurrently on the same pool the fused backend's
+// query loops execute on — nested parallelism plus cross-request
 // contention.  Batched results must equal sequential reference results
 // exactly.
-TEST(TiledDeterminism, LoadedPoolBatchMatchesSequentialReference) {
+TEST(EngineDifferential, LoadedPoolBatchMatchesSequentialReference) {
   api::Engine engine(api::Engine::Options{.memoize_results = false});
   std::vector<api::EvalRequest> batch;
   for (int i = 0; i < 6; ++i) {
@@ -325,7 +279,7 @@ TEST(TiledDeterminism, LoadedPoolBatchMatchesSequentialReference) {
     workload::SceneParams sp;
     sp.seed = static_cast<std::uint64_t>(1 + i % 3);  // repeated keys contend
     req.scene = sp;
-    req.backend = "tiled";
+    req.backend = "fused";
     req.outputs = api::kFunctional;
     batch.push_back(req);
   }
@@ -337,68 +291,7 @@ TEST(TiledDeterminism, LoadedPoolBatchMatchesSequentialReference) {
     const api::EvalResult expect = engine.run(ref_req);
     ASSERT_TRUE(expect.functional.has_value() && got[i].functional.has_value());
     EXPECT_TRUE(*expect.functional == *got[i].functional)
-        << "[tiled batch request " << i << "] diverges from sequential reference";
-  }
-}
-
-// ------------------------------------------------------ quill determinism
-
-// The quill backend executes queries in a locality-derived permutation,
-// so its determinism contract is tile-size invariance: the same bytes as
-// reference at *every* tile size, including the degenerate extremes —
-// tile_elems = 1 puts (nearly) every query in its own tile (the
-// permutation is maximally fragmented), an enormous tile_elems puts all
-// queries in a single tile per level (the permutation collapses back to
-// ascending order).  "small" (1700 queries, 4 levels) is big enough that
-// the per-level parallel sweeps genuinely interleave on the pool.
-TEST(QuillDeterminism, TileSizeInvariant) {
-  const ModelConfig m = ModelConfig::small();
-  const DiffInputs in = difftest::make_inputs(m, 33);
-  const kernels::SamplingPlan plan = kernels::SamplingPlan::build(m, in.locs);
-  const kernels::Backend& quill = kernels::backend("quill");
-  ASSERT_TRUE(quill.unavailable_reason().empty()) << quill.unavailable_reason();
-  const std::vector<std::int64_t> tile_sizes = {
-      1,                              // degenerate: one query per tile
-      std::int64_t{1} << 40,          // degenerate: all queries, one tile
-      kernels::locality_tile_elems()  // the production default
-  };
-  for (const bool quantized : {false, true}) {
-    kernels::MsgsSpec spec;
-    spec.quantized = quantized;
-    const Tensor expect =
-        kernels::backend("reference").run_msgs(m, in.values, in.probs, in.locs, spec);
-    for (const std::int64_t tile_elems : tile_sizes) {
-      const kernels::LocalityPlan loc = kernels::LocalityPlan::build(m, plan, tile_elems);
-      spec.plan = &plan;
-      spec.locality = &loc;
-      ASSERT_TRUE(difftest::expect_bits_equal(
-          expect, quill.run_msgs(m, in.values, in.probs, in.locs, spec),
-          "[quill tile_elems=" + std::to_string(tile_elems) +
-              (quantized ? " int12]" : " fp32]")));
-    }
-  }
-}
-
-// DEFA_L2_KB must steer the cached plan, not just freshly built ones: the
-// pipeline keys locality plans by tile size, so two engine runs under
-// different DEFA_L2_KB values exercise distinct cache entries yet must
-// produce identical functional results.
-TEST(QuillDeterminism, L2KnobInvariantThroughEngine) {
-  api::Engine engine(api::Engine::Options{.memoize_results = false});
-  api::EvalRequest req;
-  req.preset = "tiny";
-  req.outputs = api::kFunctional;
-  req.backend = "reference";
-  const api::EvalResult expect = engine.run(req);
-  ASSERT_TRUE(expect.functional.has_value());
-  req.backend = "quill";
-  for (const char* kb : {"1", "64", static_cast<const char*>(nullptr)}) {
-    const ScopedEnv env("DEFA_L2_KB", kb);
-    const api::EvalResult got = engine.run(req);
-    ASSERT_TRUE(got.functional.has_value());
-    EXPECT_TRUE(*expect.functional == *got.functional)
-        << "[quill DEFA_L2_KB=" << (kb != nullptr ? kb : "default")
-        << "] diverges from reference";
+        << "[fused batch request " << i << "] diverges from sequential reference";
   }
 }
 

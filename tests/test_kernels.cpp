@@ -67,6 +67,44 @@ TEST(KernelRegistry, BuiltinBackendsRegistered) {
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
+// The registry is a fixed table of exactly two backends: the reference
+// anchor and the optimized fused path.  Names of removed backends must
+// fail validation everywhere a backend can be named, listing the two.
+TEST(KernelRegistry, ExactlyReferenceAndFused) {
+  EXPECT_EQ(kernels::backend_names(), (std::vector<std::string>{"fused", "reference"}));
+  EXPECT_EQ(kernels::known_backends(), "fused, reference");
+  for (const char* removed : {"simd", "tiled", "quill"}) {
+    EXPECT_EQ(kernels::find_backend(removed), nullptr) << removed;
+    api::EvalRequest req;
+    req.preset = "tiny";
+    req.backend = removed;
+    try {
+      req.validate();
+      ADD_FAILURE() << "request naming '" << removed << "' validated";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown backend"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("(known: fused, reference)"),
+                std::string::npos)
+          << e.what();
+    }
+    const std::string text = std::string(R"({
+      "scenarios": [{"name": "t", "request": {"preset": "tiny"}}],
+      "server": {"backend": ")") + removed + R"("}
+    })";
+    try {
+      (void)serve::scenario_file_from_json(api::Json::parse(text));
+      ADD_FAILURE() << "scenario naming '" << removed << "' parsed";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown backend"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("(known: fused, reference)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(KernelRegistry, FindAndLookup) {
   EXPECT_NE(kernels::find_backend("reference"), nullptr);
   EXPECT_EQ(kernels::find_backend("no_such_backend"), nullptr);
@@ -272,75 +310,26 @@ TEST(PlanCache, SecondGetHitsAndSharesThePlan) {
   EXPECT_EQ(cache.stats().misses, 2u);  // counters survive clear()
 }
 
-TEST(LocalityPlan, PermutationPartitionsEveryLevel) {
-  Fixture fx;
-  const kernels::SamplingPlan plan = kernels::SamplingPlan::build(fx.m, fx.locs);
-  for (const std::int64_t tile_elems : {std::int64_t{1}, std::int64_t{64},
-                                        std::int64_t{1} << 40}) {
-    const kernels::LocalityPlan loc =
-        kernels::LocalityPlan::build(fx.m, plan, tile_elems);
-    EXPECT_EQ(loc.tile_elems(), tile_elems);
-    for (int l = 0; l < fx.m.n_levels; ++l) {
-      // order(l) is a permutation of [0, n_in).
-      std::vector<bool> seen(static_cast<std::size_t>(fx.m.n_in()), false);
-      for (std::int64_t i = 0; i < fx.m.n_in(); ++i) {
-        const std::int32_t q = loc.order(l)[i];
-        ASSERT_GE(q, 0);
-        ASSERT_LT(q, fx.m.n_in());
-        ASSERT_FALSE(seen[static_cast<std::size_t>(q)]) << "duplicate query " << q;
-        seen[static_cast<std::size_t>(q)] = true;
-      }
-      // tiles(l) is a contiguous partition of [0, n_in), keys ascending,
-      // and within each run query ids ascend (stable sort keeps ties in
-      // submission order — the determinism anchor).
-      std::int64_t cursor = 0;
-      std::int32_t prev_key = -1;
-      for (const kernels::LocalityPlan::TileRange& t : loc.tiles(l)) {
-        EXPECT_EQ(t.begin, cursor);
-        EXPECT_LT(t.begin, t.end);
-        EXPECT_GT(t.key, prev_key);
-        for (std::int64_t i = t.begin + 1; i < t.end; ++i) {
-          EXPECT_LT(loc.order(l)[i - 1], loc.order(l)[i]);
-        }
-        prev_key = t.key;
-        cursor = t.end;
-      }
-      EXPECT_EQ(cursor, fx.m.n_in());
-      // The everything-one-tile degenerate schedule collapses to at most
-      // two runs: tile 0 plus the trailing all-out-of-bounds bucket.
-      if (tile_elems == std::int64_t{1} << 40) {
-        EXPECT_LE(loc.tiles(l).size(), 2u);
-        EXPECT_EQ(loc.tiles(l).front().key, 0);
-      }
-    }
-  }
-}
-
-TEST(PlanCache, LocalityGetHitsAndFeedsGlobalCounters) {
+TEST(PlanCache, GetFeedsGlobalCounters) {
   Fixture fx;
   const kernels::PlanCache::GlobalStats before = kernels::PlanCache::global_stats();
   kernels::PlanCache cache;
-  const auto plan = cache.get("layer0", fx.m, fx.locs);
-  const auto a = cache.get_locality("layer0#loc64", fx.m, *plan, 64);
-  const auto b = cache.get_locality("layer0#loc64", fx.m, *plan, 64);
-  EXPECT_EQ(a.get(), b.get());  // same shared locality plan
-  // Different tile size under a different key is a distinct entry.
-  const auto c = cache.get_locality("layer0#loc128", fx.m, *plan, 128);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(cache.size(), 3u);  // one sampling plan + two locality plans
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  const auto a = cache.get("layer0", fx.m, fx.locs);
+  const auto b = cache.get("layer0", fx.m, fx.locs);
+  EXPECT_EQ(a.get(), b.get());
+  (void)cache.get("layer1", fx.m, fx.locs);
+  EXPECT_EQ(cache.size(), 2u);
 
   // Instance traffic is mirrored into the process-wide counters the
   // engine's metrics read (plan caches live inside pooled contexts).
   kernels::PlanCache::GlobalStats now = kernels::PlanCache::global_stats();
   EXPECT_EQ(now.hits - before.hits, 1u);
-  EXPECT_EQ(now.misses - before.misses, 3u);
-  EXPECT_EQ(now.entries - before.entries, 3u);
+  EXPECT_EQ(now.misses - before.misses, 2u);
+  EXPECT_EQ(now.entries - before.entries, 2u);
   cache.clear();
   now = kernels::PlanCache::global_stats();
   EXPECT_EQ(now.entries, before.entries);  // the gauge drops on clear()
-  EXPECT_EQ(now.misses - before.misses, 3u);  // counters survive clear()
+  EXPECT_EQ(now.misses - before.misses, 2u);  // counters survive clear()
 }
 
 TEST(PlanCache, GlobalCountersSurfaceThroughEngineStats) {
@@ -349,7 +338,7 @@ TEST(PlanCache, GlobalCountersSurfaceThroughEngineStats) {
   api::EvalRequest req;
   req.preset = "tiny";
   req.outputs = api::kFunctional;
-  req.backend = "quill";  // wants_plan + wants_locality -> both cache kinds
+  req.backend = "fused";  // wants_plan -> per-layer sampling plans
   // PAP-only keeps the sampling locations dense, so run() reuses the
   // cached per-layer plans (the default defa config narrows + quantizes,
   // which moves geometry and bypasses the cache).

@@ -232,6 +232,15 @@ TEST(ProtocolSession, EvalValidationFailureIsTyped) {
   EXPECT_EQ(error_code_of(with_id[0]), "validation");
 }
 
+TEST(ProtocolSession, OutOfRangeLevelIsValidationError) {
+  const std::vector<Json> frames = run_session(
+      R"({"v":1,"id":"wide","method":"eval","params":{"request":{"model":)"
+      R"({"name":"m","d_model":16,"n_heads":2,"n_levels":1,"n_points":2,)"
+      R"("n_layers":1,"levels":[[4294967297,8]]}}}})" "\n");
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(error_code_of(frames[0]), "validation");
+}
+
 TEST(ProtocolSession, EvalBatchAnswersPerItemInOrder) {
   EvalRequest req;
   req.preset = "tiny";
@@ -732,6 +741,9 @@ TEST(Reconfigure, ParamsRoundTripAndStrictValidation) {
   EXPECT_THROW((void)reconfig_from_params(bad_policy), CheckError);
   Json bad_window = Json::object();
   bad_window["locality_window"] = 0;
+  EXPECT_THROW((void)reconfig_from_params(bad_window), CheckError);
+  // 2^32 + 1 must not wrap to a window of 1.
+  bad_window["locality_window"] = std::int64_t{4294967297};
   EXPECT_THROW((void)reconfig_from_params(bad_window), CheckError);
 }
 
