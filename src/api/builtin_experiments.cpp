@@ -18,7 +18,6 @@
 #include "core/experiments.h"
 #include "core/msgs.h"
 #include "kernels/backend.h"
-#include "kernels/plan.h"
 #include "nn/bilinear.h"
 #include "nn/linear.h"
 #include "nn/softmax.h"
@@ -746,9 +745,9 @@ double min_ns_per_op(F&& f, double batch_s = 0.02, int reps = 5) {
 /// Backend-matrix section of the microbench: the fused MSGS + aggregation
 /// kernel of every registered backend, timed per PruneConfig-shaped
 /// variant on the tiny preset's default scene workload, with speedups
-/// against the `reference` backend.  Plan-consuming backends get the
-/// cached per-layer sampling plan, matching how the EncoderPipeline calls
-/// them in steady state.
+/// against the `reference` backend.  Every call starts from the sampling
+/// locations, as production calls do: `fused` resolves its geometry per
+/// query tile inside the timed call.
 Json run_backend_matrix(std::ostream& os) {
   const ModelConfig m = ModelConfig::tiny();
   workload::SceneParams sp;
@@ -758,7 +757,6 @@ Json run_backend_matrix(std::ostream& os) {
   const Tensor values = Tensor::randn({m.n_in(), m.d_model}, rng);
   const nn::MsdaFields f = wl.layer_fields(0);
   const Tensor probs = nn::softmax_lastdim(f.logits);
-  const kernels::SamplingPlan plan = kernels::SamplingPlan::build(m, f.locs);
   prune::PapStats pap_stats;
   const prune::PointMask pap_mask =
       prune::pap_prune(m, probs, core::PruneConfig::only_pap().pap_tau, &pap_stats);
@@ -811,7 +809,6 @@ Json run_backend_matrix(std::ostream& os) {
       kernels::MsgsSpec spec;
       spec.point_mask = variant.mask;
       spec.quantized = variant.quantized;
-      spec.plan = &plan;
       const double ns = min_ns_per_op([&] {
         sink += backend.run_msgs(m, values, probs, f.locs, spec)(0, 0);
       });
@@ -833,8 +830,8 @@ Json run_backend_matrix(std::ostream& os) {
       matrix.push_back(std::move(row));
     }
   }
-  os << "Backend matrix (tiny preset, default scene; plan reused as in the\n"
-        "EncoderPipeline steady state; 'reference' rows define speedup 1.0)\n\n";
+  os << "Backend matrix (tiny preset, default scene; each call from locs, as\n"
+        "in production; 'reference' rows define speedup 1.0)\n\n";
   os << t.str() << "\n";
   os << fmt("(checksum %.3g — ignore; defeats dead-code elimination)\n\n", sink);
 
@@ -849,8 +846,8 @@ Json run_backend_matrix(std::ostream& os) {
 
 /// Locality section: the MSGS kernel of every backend across scene sizes
 /// whose value memory ranges from cache-resident to several times L2.
-/// Per cell: ns/query with the cached plan (steady state) and the speedup
-/// against `fused`, the optimized path whose gathers leave cache first.
+/// Per cell: ns/query of one call from the sampling locations and the
+/// speedup against `fused`, the production kernel.
 Json run_locality_matrix(std::ostream& os) {
   // Pyramid scenes: level-0 halved (rounding up) per level, the FPN shape
   // of the real presets.  small == the `small` preset; large == the
@@ -893,7 +890,6 @@ Json run_locality_matrix(std::ostream& os) {
     const Tensor values = Tensor::randn({m.n_in(), m.d_model}, rng);
     const nn::MsdaFields f = wl.layer_fields(0);
     const Tensor probs = nn::softmax_lastdim(f.logits);
-    const kernels::SamplingPlan plan = kernels::SamplingPlan::build(m, f.locs);
     const double n_queries = static_cast<double>(m.n_in());
     const double value_mb = static_cast<double>(m.n_in()) * m.d_model * 4.0 / 1048576.0;
 
@@ -911,10 +907,8 @@ Json run_locality_matrix(std::ostream& os) {
         rows.push_back(std::move(row));
         continue;
       }
-      kernels::MsgsSpec spec;
-      spec.plan = &plan;
       const double ns = min_ns_per_op([&] {
-        sink += backend.run_msgs(m, values, probs, f.locs, spec)(0, 0);
+        sink += backend.run_msgs(m, values, probs, f.locs, kernels::MsgsSpec{})(0, 0);
       });
       if (name == "fused") fused_ns = ns;
       const double speedup = fused_ns > 0.0 ? fused_ns / ns : 0.0;
@@ -935,8 +929,8 @@ Json run_locality_matrix(std::ostream& os) {
     scene_rows.push_back(std::move(scene));
   }
 
-  os << "Locality matrix (one layer, cached plans; value-memory size vs the\n"
-        "gather working set; 'fused' rows define speedup 1.0)\n\n";
+  os << "Locality matrix (one layer, each call from locs; value-memory size vs\n"
+        "the gather working set; 'fused' rows define speedup 1.0)\n\n";
   os << t.str() << "\n";
   os << fmt("(checksum %.3g — ignore; defeats dead-code elimination)\n\n", sink);
 
@@ -1005,14 +999,18 @@ Json run_microbench_exp(Engine&, std::ostream& os) {
     const Tensor values = Tensor::randn({m.n_in(), m.d_model}, rng);
     const nn::MsdaFields f = wl.layer_fields(0);
     const Tensor probs = nn::softmax_lastdim(f.logits);
-    report("msgs_aggregate_tiny", time_ns_per_op([&] {
-      sink += core::run_msgs(m, values, probs, f.locs, core::MsgsOptions{})(0, 0);
-    }, 0.2));
-    core::MsgsOptions opt;
-    opt.quantized = true;
-    report("msgs_aggregate_tiny_int12", time_ns_per_op([&] {
-      sink += core::run_msgs(m, values, probs, f.locs, opt)(0, 0);
-    }, 0.2));
+    // The production kernel; a DEFA_SIMD value that forces a tier this
+    // host lacks makes it unavailable, which the matrix below reports.
+    if (kernels::production().unavailable_reason().empty()) {
+      report("msgs_aggregate_tiny", time_ns_per_op([&] {
+        sink += core::run_msgs(m, values, probs, f.locs, core::MsgsOptions{})(0, 0);
+      }, 0.2));
+      core::MsgsOptions opt;
+      opt.quantized = true;
+      report("msgs_aggregate_tiny_int12", time_ns_per_op([&] {
+        sink += core::run_msgs(m, values, probs, f.locs, opt)(0, 0);
+      }, 0.2));
+    }
     report("scene_generation_tiny", time_ns_per_op([&] {
       const workload::SceneWorkload w(m, sp);
       sink += w.fmap()(0, 0);
@@ -1023,9 +1021,7 @@ Json run_microbench_exp(Engine&, std::ostream& os) {
   os << fmt("(checksum %.3g — ignores; defeats dead-code elimination)\n\n", sink);
 
   Json out = Json::object();
-  Json meta = run_metadata();
-  meta["backend"] = kernels::default_backend_name();
-  out["meta"] = std::move(meta);
+  out["meta"] = run_metadata();
   out["rows"] = std::move(rows);
   out["backend_matrix"] = run_backend_matrix(os);
   out["locality"] = run_locality_matrix(os);

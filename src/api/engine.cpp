@@ -4,17 +4,11 @@
 
 #include "common/parallel.h"
 #include "common/thread_pool.h"
-#include "kernels/backend.h"
-#include "kernels/plan.h"
 #include "obs/trace.h"
 
 namespace defa::api {
 
-Engine::Engine(Options options) : options_(options), pool_(options.max_contexts) {
-  DEFA_CHECK(options_.backend.empty() ||
-                 kernels::find_backend(options_.backend) != nullptr,
-             "Engine: unknown backend '" + options_.backend + "'");
-}
+Engine::Engine(Options options) : options_(options), pool_(options.max_contexts) {}
 
 std::shared_ptr<core::BenchmarkContext> Engine::context(
     const ModelConfig& m, const workload::SceneParams& scene) {
@@ -42,14 +36,8 @@ void Engine::evict_memo_locked(std::size_t max_memo) {
 }
 
 void Engine::reconfigure(const Reconfig& rc) {
-  if (rc.backend.has_value()) {
-    DEFA_CHECK(rc.backend->empty() ||
-                   kernels::find_backend(*rc.backend) != nullptr,
-               "Engine: unknown backend '" + *rc.backend + "'");
-  }
   {
     const std::lock_guard<std::mutex> lock(options_mu_);
-    if (rc.backend.has_value()) options_.backend = *rc.backend;
     if (rc.max_contexts.has_value()) options_.max_contexts = *rc.max_contexts;
     if (rc.max_memo.has_value()) options_.max_memo = *rc.max_memo;
     if (rc.memoize_results.has_value()) {
@@ -67,7 +55,6 @@ void Engine::reconfigure(const Reconfig& rc) {
 
 void Engine::reset_stats() {
   pool_.reset_stats();
-  kernels::PlanCache::reset_global_counters();
   const std::lock_guard<std::mutex> lock(memo_mu_);
   memo_hits_ = 0;
   memo_misses_ = 0;
@@ -83,10 +70,6 @@ void Engine::clear_caches() {
 Engine::CacheStats Engine::cache_stats() const {
   CacheStats s;
   s.context = pool_.stats();
-  const kernels::PlanCache::GlobalStats plans = kernels::PlanCache::global_stats();
-  s.plan_hits = plans.hits;
-  s.plan_misses = plans.misses;
-  s.plan_entries = plans.entries;
   const std::lock_guard<std::mutex> lock(memo_mu_);
   s.memo_hits = memo_hits_;
   s.memo_misses = memo_misses_;
@@ -99,16 +82,14 @@ EvalResult Engine::run(const EvalRequest& request) {
   // One coherent view of the tunables for this whole run: a concurrent
   // reconfigure affects the next run, never half of this one.
   bool memoize;
-  std::string backend;
   std::size_t max_memo;
   {
     const std::lock_guard<std::mutex> lock(options_mu_);
     memoize = options_.memoize_results;
-    backend = options_.backend;
     max_memo = options_.max_memo;
   }
-  if (!memoize) return evaluate(request, backend);
-  const std::string key = request.request_key(backend);
+  if (!memoize) return evaluate(request);
+  const std::string key = request.request_key();
   {
     DEFA_TRACE_SPAN("memo_lookup", "engine");
     const std::lock_guard<std::mutex> lock(memo_mu_);
@@ -120,7 +101,7 @@ EvalResult Engine::run(const EvalRequest& request) {
     }
     ++memo_misses_;
   }
-  EvalResult result = evaluate(request, backend);
+  EvalResult result = evaluate(request);
   {
     const std::lock_guard<std::mutex> lock(memo_mu_);
     if (memo_.find(key) == memo_.end()) {
@@ -300,8 +281,7 @@ EnergyStats energy_stats(const ModelConfig& m, const HwConfig& hw,
 
 AccuracyStats accuracy_stats(const ModelConfig& m, const core::PruneConfig& cfg,
                              const core::EncoderPipeline& pipe,
-                             const core::EncoderResult* enc,
-                             const kernels::Backend& backend) {
+                             const core::EncoderResult* enc) {
   using accuracy::ApModel;
   using accuracy::Technique;
   const ApModel& ap = ApModel::paper_calibrated();
@@ -323,7 +303,7 @@ AccuracyStats accuracy_stats(const ModelConfig& m, const core::PruneConfig& cfg,
     TechniqueDrop d;
     d.technique = name;
     d.measured_error =
-        reuse_enc ? enc->final_nrmse : pipe.run(isolated, &backend).final_nrmse;
+        reuse_enc ? enc->final_nrmse : pipe.run(isolated).final_nrmse;
     d.ap_drop = ap.drop(t, d.measured_error);
     a.drops.push_back(std::move(d));
   };
@@ -353,14 +333,11 @@ AccuracyStats accuracy_stats(const ModelConfig& m, const core::PruneConfig& cfg,
 
 }  // namespace
 
-EvalResult Engine::evaluate(const EvalRequest& request,
-                            const std::string& default_backend) {
+EvalResult Engine::evaluate(const EvalRequest& request) {
   DEFA_TRACE_SPAN_ARG("evaluate", "engine", "benchmark", request.preset);
   const ModelConfig m = request.resolve_model();
   const workload::SceneParams scene = request.resolve_scene(m);
   const core::PruneConfig cfg = request.resolve_prune(m);
-  const kernels::Backend& backend =
-      kernels::backend(request.resolve_backend(default_backend));
   std::shared_ptr<core::BenchmarkContext> ctx;
   {
     DEFA_TRACE_SPAN("context_lookup", "engine");
@@ -383,12 +360,11 @@ EvalResult Engine::evaluate(const EvalRequest& request,
     DEFA_TRACE_SPAN_ARG("encoder", "engine", "cached",
                         default_cfg ? "maybe" : "no");
     if (default_cfg) {
-      // Shared cache across requests: the first caller's backend performs
-      // the one-time build; backends are bit-identical, so reusing the
-      // cached result under any requested backend returns the same bytes.
-      enc = &ctx->defa_result(&backend);
+      // Shared cache across requests: the first caller performs the
+      // one-time build.
+      enc = &ctx->defa_result();
     } else {
-      enc_local = ctx->pipeline().run(cfg, &backend);
+      enc_local = ctx->pipeline().run(cfg);
       enc = &enc_local;
     }
   }
@@ -412,7 +388,7 @@ EvalResult Engine::evaluate(const EvalRequest& request,
 
   if ((request.outputs & kAccuracy) != 0) {
     DEFA_TRACE_SPAN("accuracy", "engine");
-    result.accuracy = accuracy_stats(m, cfg, ctx->pipeline(), enc, backend);
+    result.accuracy = accuracy_stats(m, cfg, ctx->pipeline(), enc);
   }
 
   return result;

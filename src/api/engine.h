@@ -43,13 +43,6 @@ class Engine {
     /// positive bound turns the result memo into an LRU cache, mirroring
     /// `max_contexts`; evictions are counted in CacheStats.
     std::size_t max_memo = 0;
-    /// Compute backend every evaluation runs on, by kernels-registry name
-    /// ("reference", "fused", ...).  Empty selects the process default
-    /// (the DEFA_BACKEND environment variable, else "reference").  A
-    /// request's own `backend` field overrides this per request.  All
-    /// registered backends produce bit-identical results, so this is a
-    /// pure performance knob.
-    std::string backend;
   };
 
   Engine() : Engine(Options{}) {}
@@ -59,21 +52,19 @@ class Engine {
   /// `serve::Server::reconfigure` (the protocol `reconfigure` method)
   /// applies these between dispatches.
   struct Reconfig {
-    std::optional<std::string> backend;       ///< "" = process default
     std::optional<std::size_t> max_contexts;  ///< 0 = unbounded
     std::optional<std::size_t> max_memo;      ///< 0 = unbounded
     std::optional<bool> memoize_results;
   };
 
-  /// Apply a configuration change.  Validates the backend name first
-  /// (throws defa::CheckError leaving the Engine untouched), then applies
-  /// atomically with respect to concurrent `run` calls: each run observes
+  /// Apply a configuration change atomically with respect to concurrent
+  /// `run` calls: each run observes
   /// one coherent configuration.  Shrinking `max_contexts`/`max_memo`
   /// evicts LRU entries down to the new bound (counted as evictions).
   void reconfigure(const Reconfig& rc);
 
   /// Zero every cache counter (context hits/misses/evictions, memo
-  /// hits/misses/evictions, process-wide plan hits/misses).  Cached
+  /// hits/misses/evictions).  Cached
   /// entries are untouched; pair with `clear_caches()` for a cold,
   /// fresh-process-like engine.
   void reset_stats();
@@ -102,17 +93,11 @@ class Engine {
   void clear_caches();
 
   /// Monotonic cache-effectiveness counters (serve/metrics exports them).
-  /// The plan counters are process-wide PlanCache totals (plan caches live
-  /// per-pipeline inside pooled contexts — see kernels::PlanCache); the
-  /// entries field is a live gauge of resident sampling plans.
   struct CacheStats {
     core::ContextPool::CacheStats context;  ///< (model, scene) context cache
     std::uint64_t memo_hits = 0;            ///< run() served from the memo
     std::uint64_t memo_misses = 0;          ///< run() had to evaluate
     std::uint64_t memo_evictions = 0;       ///< LRU entries dropped (max_memo)
-    std::uint64_t plan_hits = 0;            ///< PlanCache::get*() resident
-    std::uint64_t plan_misses = 0;          ///< PlanCache::get*() built fresh
-    std::uint64_t plan_entries = 0;         ///< resident plans (gauge)
   };
   [[nodiscard]] CacheStats cache_stats() const;
 
@@ -122,10 +107,7 @@ class Engine {
     std::uint64_t last_used = 0;  ///< tick of the most recent run() touch
   };
 
-  /// `default_backend` is the engine-level backend the caller snapshotted
-  /// (a request's own `backend` field still overrides it).
-  [[nodiscard]] EvalResult evaluate(const EvalRequest& request,
-                                    const std::string& default_backend);
+  [[nodiscard]] EvalResult evaluate(const EvalRequest& request);
   void evict_memo_locked(std::size_t max_memo);
 
   mutable std::mutex options_mu_;  ///< guards options_ (reconfigure vs run)

@@ -1,7 +1,9 @@
 #include "api/request.h"
 
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 
 #include "core/experiments.h"
 #include "kernels/backend.h"
@@ -328,11 +330,7 @@ HwConfig EvalRequest::resolve_hw(const ModelConfig& m) const {
   return hw.has_value() ? *hw : HwConfig::make_default(m);
 }
 
-std::string EvalRequest::resolve_backend(const std::string& engine_default) const {
-  if (backend.has_value()) return *backend;
-  if (!engine_default.empty()) return engine_default;
-  return kernels::default_backend_name();
-}
+std::string EvalRequest::resolve_backend() const { return kernels::production().name(); }
 
 void EvalRequest::validate() const {
   const ModelConfig m = resolve_model();  // throws on preset/model problems
@@ -341,10 +339,15 @@ void EvalRequest::validate() const {
   DEFA_CHECK((outputs & ~kAllOutputs) == 0,
              "EvalRequest: unknown bits in output mask");
 
-  if (backend.has_value()) {
-    DEFA_CHECK(kernels::find_backend(*backend) != nullptr,
-               "EvalRequest: unknown backend '" + *backend +
-                   "' (known: " + kernels::known_backends() + ")");
+  // `fused` resolves value offsets as int32 (token * d_model + head
+  // column), so the whole value buffer must index in int32.  Summed level
+  // by level so the check itself cannot overflow.
+  std::int64_t tokens = 0;
+  for (const LevelShape& lv : m.levels) {
+    tokens += lv.numel();
+    DEFA_CHECK(tokens <= std::numeric_limits<std::int32_t>::max() / m.d_model,
+               "EvalRequest: value buffer n_in * d_model exceeds INT32_MAX "
+               "(the MSGS kernel indexes it with int32 offsets)");
   }
 
   const workload::SceneParams sp = resolve_scene(m);
@@ -379,14 +382,13 @@ std::string EvalRequest::workload_key() const {
   return core::ContextPool::key_of(m, resolve_scene(m));
 }
 
-std::string EvalRequest::request_key(const std::string& engine_default) const {
+std::string EvalRequest::request_key() const {
   const ModelConfig m = resolve_model();
   Json key = Json::object();
   key["model"] = model_to_json(m);
   key["scene"] = scene_to_json(resolve_scene(m));
   key["prune"] = prune_to_json(resolve_prune(m));
   key["hw"] = hw_to_json(resolve_hw(m));
-  key["backend"] = resolve_backend(engine_default);
   key["outputs"] = static_cast<double>(outputs);
   return key.dump();
 }
@@ -624,7 +626,6 @@ Json to_json(const EvalRequest& r) {
   if (r.scene.has_value()) j["scene"] = scene_to_json(*r.scene);
   if (r.prune.has_value()) j["prune"] = prune_to_json(*r.prune);
   if (r.hw.has_value()) j["hw"] = hw_to_json(*r.hw);
-  if (r.backend.has_value()) j["backend"] = *r.backend;
   Json outs = Json::array();
   for (const auto& [name, bit] : output_names()) {
     if ((r.outputs & bit) != 0) outs.push_back(name);
@@ -636,7 +637,7 @@ Json to_json(const EvalRequest& r) {
 EvalRequest eval_request_from_json(const Json& j) {
   DEFA_CHECK(j.is_object(), "EvalRequest: JSON root must be an object");
   check_known_keys(j, "EvalRequest",
-                   {"preset", "model", "scene", "prune", "hw", "backend", "outputs"});
+                   {"preset", "model", "scene", "prune", "hw", "outputs"});
   EvalRequest r;
   if (const Json* p = j.find("preset")) r.preset = p->as_string();
   if (const Json* m = j.find("model")) r.model = model_from_json(*m);
@@ -649,7 +650,6 @@ EvalRequest eval_request_from_json(const Json& j) {
     // request can flip one toggle without restating the whole machine.
     r.hw = hw_from_json(*h, HwConfig::make_default(r.resolve_model()));
   }
-  if (const Json* b = j.find("backend")) r.backend = b->as_string();
   if (const Json* o = j.find("outputs")) r.outputs = outputs_from_json(*o);
   return r;
 }

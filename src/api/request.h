@@ -61,12 +61,6 @@ struct EvalRequest {
   /// HwConfig::make_default(model).
   std::optional<HwConfig> hw;
 
-  /// Compute-backend overlay: the kernels-registry name ("reference",
-  /// "fused", ...) this request evaluates on.  Unset defers to the
-  /// Engine's `Options::backend` (and ultimately the process default).
-  /// Backends are bit-identical, so this only moves evaluation cost.
-  std::optional<std::string> backend;
-
   OutputMask outputs = kFunctional;
 
   /// Known preset names, in declaration order.
@@ -81,25 +75,22 @@ struct EvalRequest {
   [[nodiscard]] core::PruneConfig resolve_prune(const ModelConfig& m) const;
   /// The request's effective hardware configuration.
   [[nodiscard]] HwConfig resolve_hw(const ModelConfig& m) const;
-  /// The request's effective backend name: the request overlay when set,
-  /// else `engine_default` when non-empty, else the process default
-  /// (kernels::default_backend_name()).  Does not check registration —
-  /// `validate()` does.
-  [[nodiscard]] std::string resolve_backend(const std::string& engine_default = {}) const;
+  /// Name of the MSGS kernel that evaluates every request: always the
+  /// production kernel, "fused".
+  [[nodiscard]] std::string resolve_backend() const;
 
   /// Full validation; throws defa::CheckError with a reason on any
-  /// malformed field.  Called by Engine::run before any work starts.
+  /// malformed field.  Called by Engine::run before any work starts, and
+  /// allocates nothing: a model whose value buffer (n_in x d_model) the
+  /// `fused` kernel cannot index with int32 offsets is rejected here.
   void validate() const;
 
   /// Stable identity of the workload this request evaluates (model +
   /// scene), used as the Engine's context-cache key.
   [[nodiscard]] std::string workload_key() const;
   /// Stable identity of the whole request (workload + prune + hw +
-  /// backend + outputs), used for result memoization.  `engine_default`
-  /// is the Engine's own backend option, so the key names the backend
-  /// that actually evaluates (future non-bit-identical backends must not
-  /// share memo entries).
-  [[nodiscard]] std::string request_key(const std::string& engine_default = {}) const;
+  /// outputs), used for result memoization.
+  [[nodiscard]] std::string request_key() const;
 };
 
 // ----------------------------------------------------------------- EvalResult

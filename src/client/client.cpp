@@ -792,15 +792,6 @@ serve::MetricsSnapshot Client::metrics() {
   return serve::MetricsSnapshot::from_json(call("metrics"));
 }
 
-std::vector<std::string> Client::backends() {
-  const api::Json result = call("backends");
-  std::vector<std::string> names;
-  for (const api::Json& n : result.at("backends").items()) {
-    names.push_back(n.as_string());
-  }
-  return names;
-}
-
 api::Json Client::experiments() { return call("experiments"); }
 
 api::Json Client::run_experiment(const std::string& name) {

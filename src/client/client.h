@@ -149,8 +149,6 @@ class Client {
   api::Json ping();
   /// The server's live metrics, parsed back into a snapshot.
   [[nodiscard]] serve::MetricsSnapshot metrics();
-  /// Registered backend names on the server.
-  [[nodiscard]] std::vector<std::string> backends();
   /// The server's experiment registry ({"experiments": [...]}).
   api::Json experiments();
   /// Run one registered experiment server-side; returns {"name",

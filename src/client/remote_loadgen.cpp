@@ -28,11 +28,9 @@ serve::LoadReport run_remote_loadgen(const serve::LoadGenOptions& options,
     return m;
   };
   target.transport = client.transport_name();
-  // The dispatch policy and resolved backend live in the server process;
-  // ask it.
+  // The dispatch policy lives in the server process; ask it.
   const api::Json info = client.ping();
   target.policy = info.at("server").at("policy").as_string();
-  target.backend = info.at("server").at("backend").as_string();
   // Serialization accounting (docs/BENCH_SCHEMA.md#serialization): diff
   // the client-side SerStats and the server's exported wire counters
   // around the run, so the report attributes only this run's traffic.
@@ -59,7 +57,7 @@ serve::SweepReport run_remote_sweep(const serve::ScenarioFile& file,
   DEFA_CHECK(file.has_sweep, "scenario: file has no 'sweep' block");
   // One reconfigure per point: the point's policy plus the reconfigurable
   // subset of the file's server block (locality window, cache bounds,
-  // memoization, backend), then reset stats + caches — which is what the
+  // memoization), then reset stats + caches — which is what the
   // in-process sweep gets from constructing a fresh Server per point.
   // Workers and queue capacity are process-construction settings and stay
   // whatever the remote server was launched with.
@@ -67,7 +65,6 @@ serve::SweepReport run_remote_sweep(const serve::ScenarioFile& file,
     serve::ServerReconfig rc;
     rc.policy = policy;
     rc.locality_window = file.base.server.locality_window;
-    rc.backend = file.base.server.engine.backend;
     rc.max_contexts = file.base.server.engine.max_contexts;
     rc.max_memo = file.base.server.engine.max_memo;
     rc.memoize_results = file.base.server.engine.memoize_results;

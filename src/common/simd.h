@@ -58,8 +58,8 @@ struct IsaRequest {
   std::string raw;      ///< the raw environment string (for error messages)
 };
 
-/// Read DEFA_SIMD from the environment (re-read every call, like
-/// DEFA_BACKEND, so tests can flip it).  Unset/empty/"auto" => not forced.
+/// Read DEFA_SIMD from the environment (re-read every call, so tests can
+/// flip it).  Unset/empty/"auto" => not forced.
 [[nodiscard]] IsaRequest requested_isa();
 
 }  // namespace defa::simd

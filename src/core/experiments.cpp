@@ -51,17 +51,16 @@ const EncoderPipeline& BenchmarkContext::pipeline() {
   return *pipe_;
 }
 
-void BenchmarkContext::ensure_defa_locked(const kernels::Backend* backend) {
+void BenchmarkContext::ensure_defa_locked() {
   ensure_workload_locked();
   if (defa_ == nullptr) {
-    defa_ = std::make_unique<EncoderResult>(
-        pipe_->run(PruneConfig::defa_default(model_), backend));
+    defa_ = std::make_unique<EncoderResult>(pipe_->run(PruneConfig::defa_default(model_)));
   }
 }
 
-const EncoderResult& BenchmarkContext::defa_result(const kernels::Backend* backend) {
+const EncoderResult& BenchmarkContext::defa_result() {
   const std::lock_guard<std::mutex> lock(mu_);
-  ensure_defa_locked(backend);
+  ensure_defa_locked();
   return *defa_;
 }
 

@@ -49,12 +49,9 @@ class BenchmarkContext {
   [[nodiscard]] const workload::SceneParams& scene() const noexcept { return scene_; }
   [[nodiscard]] const workload::SceneWorkload& workload_ref();
   [[nodiscard]] const EncoderPipeline& pipeline();
-  /// Full-DEFA pipeline result (all four techniques at default thresholds).
-  /// `backend` selects the compute backend of the one-time build (nullptr
-  /// = process default); once built the cached result is shared — safe
-  /// because every registered backend is bit-identical.
-  [[nodiscard]] const EncoderResult& defa_result(
-      const kernels::Backend* backend = nullptr);
+  /// Full-DEFA pipeline result (all four techniques at default thresholds),
+  /// built once on the production kernel and shared.
+  [[nodiscard]] const EncoderResult& defa_result();
 
   /// Per-layer traces (range-narrowed locations + DEFA masks) for the
   /// simulator.  Valid as long as this context lives.
@@ -73,7 +70,7 @@ class BenchmarkContext {
 
  private:
   void ensure_workload_locked();
-  void ensure_defa_locked(const kernels::Backend* backend = nullptr);
+  void ensure_defa_locked();
   void ensure_narrowed_locs_locked();
   void ensure_dense_masks_locked();
 

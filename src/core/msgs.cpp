@@ -9,13 +9,13 @@ Tensor run_msgs(const ModelConfig& m, const Tensor& values, const Tensor& probs,
   DEFA_CHECK(probs.rank() == 3 && probs.dim(0) == m.n_in(), "probs must be (N, H, L*P)");
   DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in(), "locs must be (N, H, L, P, 2)");
 
-  const kernels::Backend& backend = kernels::backend_or_default(options.backend);
+  const kernels::Backend& backend =
+      options.backend != nullptr ? *options.backend : kernels::production();
   kernels::MsgsSpec spec;
   spec.point_mask = options.point_mask;
   spec.quantized = options.quantized;
   spec.act_bits = options.act_bits;
   spec.frac_bits = options.frac_bits;
-  spec.plan = options.plan;
   return backend.run_msgs(m, values, probs, locs, spec);
 }
 

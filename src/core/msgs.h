@@ -6,10 +6,10 @@
 /// are zeroed before projection) and the INTn hardware datapath (Horner BI
 /// on integer codes, Sec. 4.3).
 ///
-/// The numeric work itself lives in a pluggable `kernels::Backend`
+/// The numeric work itself lives in a `kernels::Backend`
 /// (src/kernels/backend.h): `run_msgs` validates shapes and dispatches to
-/// the backend named in the options (default: the process default —
-/// `DEFA_BACKEND` or "reference").  The unmasked fp32 configuration
+/// the production kernel (`fused`), or to the backend the options name —
+/// how tests run the `reference` oracle.  The unmasked fp32 configuration
 /// reproduces nn::msgs_aggregate_ref bit-for-bit in fp32 on every backend
 /// (covered by tests/test_kernels.cpp).
 
@@ -28,11 +28,8 @@ struct MsgsOptions {
   bool quantized = false;
   int act_bits = 12;   ///< value-code width
   int frac_bits = 12;  ///< t0/t1 and probability fraction width
-  /// Compute backend; nullptr selects kernels::default_backend().
+  /// Compute backend; nullptr selects kernels::production().
   const kernels::Backend* backend = nullptr;
-  /// Optional cached sampling plan for `locs` (see kernels/plan.h); used
-  /// by plan-consuming backends, ignored by the reference backend.
-  const kernels::SamplingPlan* plan = nullptr;
 };
 
 /// Grid-sample `values` (N_in x D) at `locs` (N, H, L, P, 2) and aggregate

@@ -153,17 +153,9 @@ void EncoderPipeline::ensure_reference(const kernels::Backend* backend) const {
   std::call_once(ref_once_, [this, backend] { build_reference(backend); });
 }
 
-namespace {
-
-/// Plan-cache key of one layer's dense geometry.
-std::string layer_plan_key(int layer) { return "layer" + std::to_string(layer); }
-
-}  // namespace
-
-void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const {
+void EncoderPipeline::build_reference(const kernels::Backend* backend) const {
   DEFA_TRACE_SPAN("reference_build", "kernel");
   const ModelConfig& m = wl_.model();
-  const kernels::Backend& backend = kernels::backend_or_default(backend_opt);
   Tensor x_ref = wl_.fmap();
   ref_.reserve(static_cast<std::size_t>(m.n_layers));
   for (int layer = 0; layer < m.n_layers; ++layer) {
@@ -171,13 +163,8 @@ void EncoderPipeline::build_reference(const kernels::Backend* backend_opt) const
     lr.fields = wl_.layer_fields(layer);
     lr.probs = nn::softmax_lastdim(lr.fields.logits);
     const Tensor v_ref = nn::matmul(x_ref, layer_value_weights(m, layer));
-    std::shared_ptr<const kernels::SamplingPlan> plan;
-    if (backend.wants_plan()) {
-      plan = plan_cache_.get(layer_plan_key(layer), m, lr.fields.locs);
-    }
     MsgsOptions opt;
-    opt.backend = &backend;
-    opt.plan = plan.get();
+    opt.backend = backend;
     lr.out_ref = run_msgs(m, v_ref, lr.probs, lr.fields.locs, opt);
     x_ref.add_(lr.out_ref);
     nn::rms_norm_rows(x_ref);
@@ -200,9 +187,8 @@ const Tensor& EncoderPipeline::layer_probs(int layer) const {
 
 
 EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
-                                   const kernels::Backend* backend_opt) const {
-  ensure_reference(backend_opt);
-  const kernels::Backend& backend = kernels::backend_or_default(backend_opt);
+                                   const kernels::Backend* backend) const {
+  ensure_reference(backend);
   const ModelConfig& m = wl_.model();
   EncoderResult result;
   result.config_label = cfg.label;
@@ -261,16 +247,6 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
         ls.clamp = prune::clamp_to_range(m, wl_.ref_norm(), cfg.ranges, locs);
       }
     }
-    // Quantization and range narrowing move the sampling locations; only
-    // the unmoved dense geometry can reuse the cached per-layer plan, and
-    // only plan-consuming backends need one at all.
-    const bool dense_geometry = !cfg.quantize && !cfg.narrow;
-    std::shared_ptr<const kernels::SamplingPlan> plan;
-    if (dense_geometry && backend.wants_plan()) {
-      DEFA_TRACE_SPAN_ARG("plan_build", "kernel", "layer", layer);
-      plan = plan_cache_.get(layer_plan_key(layer), m, locs);
-    }
-
     // (2) PAP point mask from the (hardware) softmax probabilities
     prune::PointMask pmask(m);
     if (cfg.pap) {
@@ -304,8 +280,7 @@ EncoderResult EncoderPipeline::run(const PruneConfig& cfg,
       opt.quantized = cfg.quantize;
       opt.act_bits = cfg.bits;
       opt.frac_bits = cfg.bits;
-      opt.backend = &backend;
-      opt.plan = plan.get();
+      opt.backend = backend;
       out = run_msgs(m, v, probs_hw, locs, opt);
     }
 

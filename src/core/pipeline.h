@@ -22,7 +22,6 @@
 #include "config/hw_config.h"
 #include "core/flops.h"
 #include "kernels/backend.h"
-#include "kernels/plan.h"
 #include "prune/fwp.h"
 #include "prune/masks.h"
 #include "prune/pap.h"
@@ -121,10 +120,10 @@ class EncoderPipeline {
   explicit EncoderPipeline(const workload::SceneWorkload& workload);
 
   /// Run all blocks under `cfg`.  Deterministic in (workload seed, cfg).
-  /// The numeric hot path runs on `backend` (nullptr selects
-  /// kernels::default_backend()); every registered backend is bit-identical
-  /// in fp32 and on the INTn datapath, so the backend is a pure performance
-  /// knob — results do not depend on it.
+  /// The MSGS kernel runs on `backend` (nullptr selects
+  /// kernels::production(); tests pass the `reference` oracle).  Every
+  /// registered backend is bit-identical in fp32 and on the INTn datapath,
+  /// so results do not depend on it.
   [[nodiscard]] EncoderResult run(const PruneConfig& cfg,
                                   const kernels::Backend* backend = nullptr) const;
 
@@ -135,10 +134,6 @@ class EncoderPipeline {
   [[nodiscard]] const nn::MsdaFields& layer_fields(int layer) const;
   /// Cached dense softmax probabilities of one block.
   [[nodiscard]] const Tensor& layer_probs(int layer) const;
-  /// Hit/miss counters of the per-layer plan cache (plan-reuse tests).
-  [[nodiscard]] kernels::PlanCache::Stats plan_cache_stats() const {
-    return plan_cache_.stats();
-  }
 
  private:
   struct LayerRef {
@@ -147,8 +142,8 @@ class EncoderPipeline {
     Tensor out_ref;         ///< dense fp32 block output
   };
   /// Thread-safe: builds the reference exactly once (std::call_once).
-  /// The first caller's backend performs the build (nullptr = process
-  /// default) — safe to share because backends are bit-identical.
+  /// The first caller's backend performs the build (nullptr = the
+  /// production kernel) — safe to share because backends are bit-identical.
   void ensure_reference(const kernels::Backend* backend = nullptr) const;
   void build_reference(const kernels::Backend* backend) const;
 
@@ -156,9 +151,6 @@ class EncoderPipeline {
   mutable std::once_flag ref_once_;
   mutable std::vector<LayerRef> ref_;
   mutable Tensor x_ref_final_;
-  /// One SamplingPlan per layer, keyed "layer<idx>", for the dense cached
-  /// geometry; thread-safe (kernels::PlanCache has its own lock).
-  mutable kernels::PlanCache plan_cache_;
 };
 
 }  // namespace defa::core

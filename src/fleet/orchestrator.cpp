@@ -25,7 +25,6 @@
 #include "client/pool.h"
 #include "common/check.h"
 #include "fleet/hash_ring.h"
-#include "kernels/backend.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -103,10 +102,6 @@ std::vector<std::string> shard_argv(const std::string& serve_bin,
   if (so.max_concurrency > 0) {
     argv.emplace_back("--workers");
     argv.emplace_back(std::to_string(so.max_concurrency));
-  }
-  if (!so.engine.backend.empty()) {
-    argv.emplace_back("--backend");
-    argv.emplace_back(so.engine.backend);
   }
   if (!so.engine.memoize_results) argv.emplace_back("--no-memo");
   if (!trace_file.empty()) {
@@ -329,9 +324,6 @@ FleetRunReport run_one(const FleetConfig& config, int shard_count,
     serve::LoadTarget target;
     target.transport = "fleet";
     target.policy = serve::policy_name(config.load.server.policy);
-    target.backend = config.load.server.engine.backend.empty()
-                         ? kernels::default_backend_name()
-                         : config.load.server.engine.backend;
     target.submit = [&](serve::ServeRequest req) {
       const std::uint64_t n = submitted.fetch_add(1) + 1;
       if (chaos.enabled && n == trigger_at && !chaos_fired.exchange(true)) {
@@ -539,7 +531,6 @@ api::Json FleetReport::to_json() const {
   api::Json j = api::Json::object();
   j["bench"] = "fleet";
   api::Json meta = api::run_metadata();
-  meta["backend"] = runs.empty() ? std::string() : runs.front().load.backend;
   meta["policy"] = runs.empty() ? std::string() : runs.front().load.policy;
   meta["shards"] = runs.empty() ? 0 : runs.front().shard_count;
   j["meta"] = std::move(meta);

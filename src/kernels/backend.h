@@ -6,25 +6,25 @@
 ///
 /// A backend implements one operator: the fused mask-aware MSGS +
 /// aggregation kernel (multi-scale grid-sampling), the hot loop the paper
-/// accelerates.  Dense GEMM and softmax are shared by every backend and
-/// live in nn/ (nn::matmul, nn::linear, nn::softmax_lastdim).  Every layer
-/// above (nn::msdeform_forward_ref, core::run_msgs, core::EncoderPipeline,
-/// api::Engine and the serve/tools surfaces on top) selects a backend *by
-/// name* through the fixed registry below, so swapping implementations
-/// never touches the callers.
+/// accelerates.  Dense GEMM and softmax live in nn/ (nn::matmul,
+/// nn::linear, nn::softmax_lastdim).
 ///
-/// Two backends ship built in:
+/// Two backends ship built in, in a fixed registry:
+///  * `fused` — the one kernel production code runs (`production()`):
+///    per query tile it resolves the bilinear corners into SoA scratch
+///    (value offsets + fractions) and aggregates the tile right away,
+///    skipping PAP-pruned points with one predictable branch and zero
+///    arithmetic.  fp32 keeps a compile-time-`d_head` register
+///    accumulator tile so the per-point channel loop is a branchless,
+///    vectorizable gather; the INTn datapath runs explicit AVX2 / NEON /
+///    scalar tiers chosen by runtime ISA dispatch (src/common/simd.h, the
+///    `DEFA_SIMD` knob).
 ///  * `reference` — bit-identical to the historical scalar code paths
-///    (the pre-refactor core/msgs loops).  The correctness anchor and the
-///    process default.
-///  * `fused` — the optimized CPU path: consumes a precomputed
-///    `SamplingPlan` (level-major SoA bilinear corners + resolved
-///    value-buffer offsets) and skips PAP-pruned points with one
-///    predictable branch and zero arithmetic.  fp32 keeps a
-///    compile-time-`d_head` register accumulator tile so the per-point
-///    channel loop is a branchless, vectorizable gather; the INTn datapath
-///    runs explicit AVX2 / NEON / scalar tiers chosen by runtime ISA
-///    dispatch (src/common/simd.h, the `DEFA_SIMD` knob).
+///    (the pre-refactor core/msgs loops).  The test oracle: tests reach it
+///    through `backend("reference")` and pass it to the layers below
+///    (core::run_msgs, core::EncoderPipeline::run,
+///    nn::msdeform_forward_ref), whose `const Backend*` parameter
+///    defaults to `production()` when null.
 /// Both are bit-identical in fp32 and exactly equal on the INTn datapath
 /// (enforced by tests/test_kernels.cpp and the differential harness in
 /// tests/test_backend_differential.cpp).
@@ -45,8 +45,6 @@
 
 namespace defa::kernels {
 
-class SamplingPlan;
-
 /// Per-call configuration of the fused MSGS + aggregation kernel.
 struct MsgsSpec {
   /// Points pruned by PAP are skipped entirely (no BI, no aggregation).
@@ -56,11 +54,6 @@ struct MsgsSpec {
   bool quantized = false;
   int act_bits = 12;   ///< value-code width
   int frac_bits = 12;  ///< t0/t1 and probability fraction width
-  /// Optional precomputed sampling geometry for `locs`.  Backends that
-  /// consume plans (fused) use it instead of re-deriving the bilinear
-  /// corners; backends that don't (reference) ignore it.  Must have been
-  /// built from exactly the `locs` tensor passed alongside.
-  const SamplingPlan* plan = nullptr;
 };
 
 /// One implementation of the fused MSGS + aggregation kernel.
@@ -69,10 +62,6 @@ class Backend {
   virtual ~Backend() = default;
 
   [[nodiscard]] virtual const std::string& name() const noexcept = 0;
-
-  /// Does run_msgs consume `MsgsSpec::plan`?  Callers that cache plans
-  /// (EncoderPipeline) skip building them for backends that don't.
-  [[nodiscard]] virtual bool wants_plan() const noexcept { return false; }
 
   /// Empty when the backend can run on this host right now; otherwise a
   /// human-readable reason it cannot (e.g. "DEFA_SIMD=avx2 but the CPU
@@ -93,9 +82,6 @@ class Backend {
 
 // ------------------------------------------------------------------ registry
 
-/// Look up a backend; nullptr on an unknown name.
-[[nodiscard]] const Backend* find_backend(const std::string& name) noexcept;
-
 /// Look up a backend; throws defa::CheckError listing the known names on
 /// an unknown one.
 [[nodiscard]] const Backend& backend(const std::string& name);
@@ -103,20 +89,8 @@ class Backend {
 /// All backend names, sorted.
 [[nodiscard]] std::vector<std::string> backend_names();
 
-/// The backend names as one comma-joined string, for error messages
-/// ("fused, reference").
-[[nodiscard]] std::string known_backends();
-
-/// Name of the process-wide default backend: the `DEFA_BACKEND`
-/// environment variable when set (and known), else "reference".
-[[nodiscard]] std::string default_backend_name();
-
-/// The process-wide default backend (see default_backend_name()).
-[[nodiscard]] const Backend& default_backend();
-
-/// `*backend` when non-null, else the process default — the one place
-/// the "null means default" resolution idiom lives.
-[[nodiscard]] const Backend& backend_or_default(const Backend* backend);
+/// The kernel production code runs: `fused`.
+[[nodiscard]] const Backend& production();
 
 namespace detail {
 /// Factories implemented by the built-in backend translation units.

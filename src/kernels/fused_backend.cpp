@@ -1,13 +1,16 @@
 // The `fused` backend: the optimized CPU implementation of the fused
 // MSGS + aggregation kernel.
 //
-// Four ideas, in execution order:
-//  1. **Sampling plan (SoA).**  Bilinear corner discovery — floor, 2x2
+// The one MSGS kernel production code runs (`reference` is the test
+// oracle).  Four ideas, in execution order:
+//  1. **Tile-local geometry.**  Bilinear corner discovery — floor, 2x2
 //     neighborhood, per-neighbor bounds checks, token flattening — is
-//     hoisted out of the hot loop into a `SamplingPlan` (level-major SoA
-//     of value-row indices + fractions).  Callers that run one geometry
-//     many times (the EncoderPipeline's dense per-layer fields, the
-//     microbench) pass a cached plan; otherwise one is built on the spot.
+//     hoisted out of the channel loop into a `TileGeometry`: SoA value
+//     offsets + fractions for one tile of 32 queries, built into per-chunk
+//     scratch right before the tile is aggregated.  No geometry outlives
+//     its tile, so the kernel's footprint is a few tiles of scratch, not
+//     24 bytes per sampling point of the layer; PAP-pruned points are
+//     never resolved at all.
 //  2. **Skip-don't-gather PAP handling, branchless channels.**  A masked
 //     point costs one predictable branch and zero arithmetic (pruning
 //     removes iterations), and out-of-bounds corners resolve to a shared
@@ -52,6 +55,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -60,7 +64,6 @@
 #include "common/simd.h"
 #include "kernels/backend.h"
 #include "kernels/fused_fp32.h"
-#include "kernels/plan.h"
 #include "kernels/simd_kernels.h"
 #include "nn/bilinear.h"
 #include "quant/fixed_point.h"
@@ -69,11 +72,85 @@
 namespace defa::kernels {
 namespace simd_detail {
 
+// --------------------------------------------------------- tile geometry
+
+TileGeometry::TileGeometry(const ModelConfig& m) : m_(&m) {
+  const std::size_t slots =
+      static_cast<std::size_t>(kQueries * m.n_heads * m.points_per_head());
+  offsets_.resize(slots * 4);
+  t0_.resize(slots);
+  t1_.resize(slots);
+  std::int64_t base = 0;
+  for (const LevelShape& lv : m.levels) {
+    levels_.push_back({base, lv.w, lv.h});
+    base += lv.numel();
+  }
+}
+
+void TileGeometry::build(const Tensor& locs, const prune::PointMask* mask,
+                         std::int64_t q_begin, std::int64_t q_end) {
+  const ModelConfig& m = *m_;
+  const std::int64_t points_per_query = m.n_heads * m.points_per_head();
+  const float* loc = locs.data().data() + q_begin * points_per_query * 2;
+  q_begin_ = q_begin;
+  std::size_t s = 0;
+  for (std::int64_t q = q_begin; q < q_end; ++q) {
+    for (int h = 0; h < m.n_heads; ++h) {
+      const std::int64_t col = static_cast<std::int64_t>(h) * m.d_head();
+      for (int l = 0; l < m.n_levels; ++l) {
+        const Level& lv = levels_[static_cast<std::size_t>(l)];
+        for (int p = 0; p < m.n_points; ++p, ++s, loc += 2) {
+          if (mask != nullptr && !mask->keep(q, h, l, p)) continue;
+          const nn::BiPoint bp = nn::bi_locate(loc[0], loc[1]);
+          t0_[s] = bp.t0;
+          t1_[s] = bp.t1;
+          // nn::for_each_neighbor's N0..N3 mapping — (x0, y0), (x0+1, y0),
+          // (x0, y0+1), (x0+1, y0+1) — with the level base hoisted and the
+          // bounds tests branch-free.
+          const bool x0_in = static_cast<unsigned>(bp.x0) < static_cast<unsigned>(lv.w);
+          const bool x1_in = static_cast<unsigned>(bp.x0 + 1) < static_cast<unsigned>(lv.w);
+          const bool y0_in = static_cast<unsigned>(bp.y0) < static_cast<unsigned>(lv.h);
+          const bool y1_in = static_cast<unsigned>(bp.y0 + 1) < static_cast<unsigned>(lv.h);
+          const std::int64_t n0 =
+              (lv.base + static_cast<std::int64_t>(bp.y0) * lv.w + bp.x0) * m.d_model + col;
+          const std::int64_t row = static_cast<std::int64_t>(lv.w) * m.d_model;
+          std::int32_t* offs = offsets_.data() + s * 4;
+          offs[0] = x0_in && y0_in ? static_cast<std::int32_t>(n0) : kOutOfBounds;
+          offs[1] = x1_in && y0_in ? static_cast<std::int32_t>(n0 + m.d_model) : kOutOfBounds;
+          offs[2] = x0_in && y1_in ? static_cast<std::int32_t>(n0 + row) : kOutOfBounds;
+          offs[3] = x1_in && y1_in ? static_cast<std::int32_t>(n0 + row + m.d_model)
+                                   : kOutOfBounds;
+        }
+      }
+    }
+  }
+}
+
+void for_each_tile(const ModelConfig& m, const Tensor& locs,
+                   const prune::PointMask* mask, const TileFn& body) {
+  DEFA_CHECK(locs.rank() == 5 && locs.dim(0) == m.n_in() && locs.dim(1) == m.n_heads &&
+                 locs.dim(2) == m.n_levels && locs.dim(3) == m.n_points &&
+                 locs.dim(4) == 2,
+             "fused backend: locs must be (N, H, L, P, 2)");
+  // Resolved offsets are int32: token * d_model + head * d_head < N_in * D.
+  // api::EvalRequest::validate() rejects such models before admission.
+  DEFA_CHECK(m.n_in() * m.d_model <= std::numeric_limits<std::int32_t>::max(),
+             "fused backend: value buffer too large for int32 offsets");
+  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+    TileGeometry g(m);
+    for (std::int64_t q = begin; q < end; q += TileGeometry::kQueries) {
+      const std::int64_t q_end = std::min(end, q + TileGeometry::kQueries);
+      g.build(locs, mask, q, q_end);
+      body(g, q, q_end);
+    }
+  }, min_parallel_queries(m));
+}
+
 // ---------------------------------------------------------- portable tier
 
 void run_fp32_portable(const Fp32Args& a) { run_fp32_tiles(a); }
 
-// The INTn scalar tier: same structure as the vector tiers (plan-driven
+// The INTn scalar tier: same structure as the vector tiers (tile-driven
 // gather, zero-row padding, per-(query, head) accumulator) with the
 // channel loop in scalar form.  This is the code the AVX2/NEON tiers must
 // reproduce lane-for-lane.
@@ -82,20 +159,21 @@ void run_quant_scalar(const QuantArgs& a) {
   const ModelConfig& m = *a.m;
   const int dh = m.d_head();
   const int lp = m.points_per_head();
-  const std::int32_t* offs = a.plan->offsets().data();
-  const float* t0s = a.plan->t0().data();
-  const float* t1s = a.plan->t1().data();
   const std::vector<std::int16_t> zero_row(static_cast<std::size_t>(dh), 0);
   const std::int16_t* zero = zero_row.data();
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  for_each_tile(m, *a.locs, a.mask, [&](const TileGeometry& g, std::int64_t begin,
+                                        std::int64_t end) {
+    const std::int32_t* offs = g.offsets();
+    const float* t0s = g.t0();
+    const float* t1s = g.t1();
     std::vector<std::int32_t> acc(static_cast<std::size_t>(dh));
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
         const float* prow = a.probs + static_cast<std::size_t>((q * m.n_heads + h) * lp);
         std::fill(acc.begin(), acc.end(), 0);
         for (int l = 0; l < m.n_levels; ++l) {
-          const std::int64_t base = a.plan->slot(l, q, h, 0);
+          const std::int64_t base = g.slot(q, h, l);
           for (int p = 0; p < m.n_points; ++p) {
             if (a.mask != nullptr && !a.mask->keep(q, h, l, p)) continue;
             const std::int32_t prob_q =
@@ -122,7 +200,7 @@ void run_quant_scalar(const QuantArgs& a) {
         }
       }
     }
-  }, min_parallel_queries(m));
+  });
 }
 
 namespace {
@@ -185,8 +263,6 @@ class FusedBackend final : public Backend {
     return kName;
   }
 
-  [[nodiscard]] bool wants_plan() const noexcept override { return true; }
-
   [[nodiscard]] std::string unavailable_reason() const override {
     return simd_detail::resolve_tier().reason;
   }
@@ -194,19 +270,11 @@ class FusedBackend final : public Backend {
   [[nodiscard]] Tensor run_msgs(const ModelConfig& m, const Tensor& values,
                                 const Tensor& probs, const Tensor& locs,
                                 const MsgsSpec& spec) const override {
-    // Resolved per call, like kernels::default_backend_name re-reads
-    // DEFA_BACKEND: getenv cost is noise next to the kernel, and tests can
-    // flip tiers without rebuilding process state.
+    // Resolved per call: getenv cost is noise next to the kernel, and
+    // tests can flip tiers without rebuilding process state.
     const simd_detail::TierResolution res = simd_detail::resolve_tier();
     DEFA_CHECK(res.reason.empty(), "fused backend unavailable: " + res.reason);
 
-    SamplingPlan local;
-    const SamplingPlan* plan = spec.plan;
-    if (plan == nullptr) {
-      local = SamplingPlan::build(m, locs);
-      plan = &local;
-    }
-    DEFA_CHECK(plan->matches(m), "fused backend: sampling plan does not match the model");
     Tensor out({m.n_in(), m.d_model});
     if (spec.quantized) {
       const quant::QTensor qvalues(values, spec.act_bits);
@@ -214,7 +282,7 @@ class FusedBackend final : public Backend {
       qa.m = &m;
       qa.codes = qvalues.codes().data();
       qa.probs = probs.data().data();
-      qa.plan = plan;
+      qa.locs = &locs;
       qa.mask = spec.point_mask;
       qa.out = out.data().data();
       qa.out_scale = qvalues.spec().scale;
@@ -234,7 +302,7 @@ class FusedBackend final : public Backend {
       fa.m = &m;
       fa.values = values.data().data();
       fa.probs = probs.data().data();
-      fa.plan = plan;
+      fa.locs = &locs;
       fa.mask = spec.point_mask;
       fa.zero = zero_row.data();
       fa.out = out.data().data();

@@ -14,8 +14,6 @@
 
 #include <cstdint>
 
-#include "common/parallel.h"
-#include "kernels/plan.h"
 #include "kernels/simd_kernels.h"
 #include "nn/bilinear.h"
 
@@ -35,19 +33,20 @@ void run_fp32_impl(const Fp32Args& a) {
   const ModelConfig& m = *a.m;
   const int dh = DH > 0 ? DH : m.d_head();
   const int lp = m.points_per_head();
-  const std::int32_t* offs = a.plan->offsets().data();
-  const float* t0s = a.plan->t0().data();
-  const float* t1s = a.plan->t1().data();
   const float* zero = a.zero;
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  for_each_tile(m, *a.locs, a.mask, [&](const TileGeometry& g, std::int64_t begin,
+                                        std::int64_t end) {
+    const std::int32_t* offs = g.offsets();
+    const float* t0s = g.t0();
+    const float* t1s = g.t1();
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
         const float* prow = a.probs + static_cast<std::size_t>((q * m.n_heads + h) * lp);
         float* head_out = a.out + static_cast<std::size_t>(q * m.d_model + h * dh);
         float acc[DH > 0 ? DH : 1] = {};
         for (int l = 0; l < m.n_levels; ++l) {
-          const std::int64_t base = a.plan->slot(l, q, h, 0);
+          const std::int64_t base = g.slot(q, h, l);
           for (int p = 0; p < m.n_points; ++p) {
             if (a.mask != nullptr && !a.mask->keep(q, h, l, p)) continue;
             const std::int64_t s = (base + p) * 4;
@@ -74,7 +73,7 @@ void run_fp32_impl(const Fp32Args& a) {
         }
       }
     }
-  }, min_parallel_queries(m));
+  });
 }
 
 /// Dispatch on the head width to the matching register-tile instance.

@@ -24,8 +24,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/parallel.h"
-#include "kernels/plan.h"
 #include "quant/qmsgs.h"
 #else
 #define DEFA_NEON_REAL 0
@@ -59,22 +57,23 @@ void run_quant_neon(const QuantArgs& a) {
   const int dh = m.d_head();
   const int dh4 = dh & ~3;
   const int lp = m.points_per_head();
-  const std::int32_t* offs = a.plan->offsets().data();
-  const float* t0s = a.plan->t0().data();
-  const float* t1s = a.plan->t1().data();
   const std::vector<std::int16_t> zero_row(static_cast<std::size_t>(dh), 0);
   const std::int16_t* zero = zero_row.data();
   const int32x4_t half = vdupq_n_s32(1 << (a.frac_bits - 1));
   const int32x4_t neg_shift = vdupq_n_s32(-a.frac_bits);
 
-  parallel_for(0, m.n_in(), [&](std::int64_t begin, std::int64_t end) {
+  for_each_tile(m, *a.locs, a.mask, [&](const TileGeometry& g, std::int64_t begin,
+                                        std::int64_t end) {
+    const std::int32_t* offs = g.offsets();
+    const float* t0s = g.t0();
+    const float* t1s = g.t1();
     std::vector<std::int32_t> acc(static_cast<std::size_t>(dh));
     for (std::int64_t q = begin; q < end; ++q) {
       for (int h = 0; h < m.n_heads; ++h) {
         const float* prow = a.probs + static_cast<std::size_t>((q * m.n_heads + h) * lp);
         std::fill(acc.begin(), acc.end(), 0);
         for (int l = 0; l < m.n_levels; ++l) {
-          const std::int64_t base = a.plan->slot(l, q, h, 0);
+          const std::int64_t base = g.slot(q, h, l);
           for (int p = 0; p < m.n_points; ++p) {
             if (a.mask != nullptr && !a.mask->keep(q, h, l, p)) continue;
             const std::int32_t prob_q =
@@ -118,7 +117,7 @@ void run_quant_neon(const QuantArgs& a) {
         }
       }
     }
-  }, min_parallel_queries(m));
+  });
 }
 
 #else  // !DEFA_NEON_REAL

@@ -136,7 +136,7 @@ Tensor msgs_aggregate_ref(const ModelConfig& m, const Tensor& values,
 Tensor msdeform_forward_ref(const ModelConfig& m, const Tensor& x,
                             const Tensor& ref_norm, const MsdaWeights& weights,
                             const kernels::Backend* backend) {
-  const kernels::Backend& b = kernels::backend_or_default(backend);
+  const kernels::Backend& b = backend != nullptr ? *backend : kernels::production();
   const MsdaFields f = fields_from_weights(m, x, ref_norm, weights);
   const Tensor probs = softmax_lastdim(f.logits);
   const Tensor values = linear(x, weights.w_value, &weights.b_value);

@@ -64,8 +64,8 @@ struct MsdaFields {
 
 /// Full Eq. 1 forward (softmax + value projection + MSGS + concat) from
 /// weights.  Returns the (N, D) attention output.  The linear/softmax/MSGS
-/// work runs on `backend` (nullptr selects kernels::default_backend());
-/// every registered backend produces bit-identical fp32 results.
+/// work runs on `backend` (nullptr selects kernels::production()); every
+/// registered backend produces bit-identical fp32 results.
 [[nodiscard]] Tensor msdeform_forward_ref(const ModelConfig& m, const Tensor& x,
                                           const Tensor& ref_norm,
                                           const MsdaWeights& weights,

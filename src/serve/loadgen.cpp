@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/pipeline.h"
-#include "kernels/backend.h"
 #include "obs/trace.h"
 
 namespace defa::serve {
@@ -108,7 +107,6 @@ api::Json LoadReport::to_json() const {
   api::Json j = api::Json::object();
   j["bench"] = "serve";
   api::Json meta = api::run_metadata();
-  meta["backend"] = backend;
   meta["policy"] = policy;
   meta["transport"] = transport;
   j["meta"] = std::move(meta);
@@ -176,9 +174,6 @@ LoadReport run_loadgen(const LoadGenOptions& options) {
   };
   target.transport = "inproc";
   target.policy = policy_name(options.server.policy);
-  target.backend = options.server.engine.backend.empty()
-                       ? kernels::default_backend_name()
-                       : options.server.engine.backend;
   return run_loadgen_against(options, target);
 }
 
@@ -196,7 +191,6 @@ LoadReport run_loadgen_against(const LoadGenOptions& options,
   report.mode = options.mode == LoadGenOptions::Mode::kClosed ? "closed" : "open";
   report.policy = target.policy;
   report.transport = target.transport;
-  report.backend = target.backend;
   report.requests = options.requests;
   report.concurrency =
       options.mode == LoadGenOptions::Mode::kClosed ? options.concurrency : 0;

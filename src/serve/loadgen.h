@@ -69,7 +69,6 @@ struct LoadReport {
   /// How requests reached the scheduler: "inproc" (same-process Server),
   /// or the client transport ("tcp" | "stdio") for `--connect` runs.
   std::string transport = "inproc";
-  std::string backend;  ///< the server's resolved kernel backend name
   int requests = 0;
   int concurrency = 0;
   double offered_qps = 0;  ///< open loop only (0 for closed)
@@ -122,7 +121,6 @@ struct LoadTarget {
   std::function<MetricsSnapshot()> metrics;
   std::string transport = "inproc";  ///< stamped into LoadReport::transport
   std::string policy;                ///< the *server's* dispatch policy name
-  std::string backend;  ///< resolved kernel backend name, for the report meta
 };
 
 /// Drive an arbitrary target with the configured traffic.  Ignores

@@ -157,9 +157,6 @@ api::Json MetricsSnapshot::to_json() const {
   cache["memo_hits"] = static_cast<double>(memo_hits);
   cache["memo_misses"] = static_cast<double>(memo_misses);
   cache["memo_evictions"] = static_cast<double>(memo_evictions);
-  cache["plan_hits"] = static_cast<double>(plan_hits);
-  cache["plan_misses"] = static_cast<double>(plan_misses);
-  cache["plan_entries"] = static_cast<double>(plan_entries);
   j["cache"] = std::move(cache);
   const auto ser = [](const wire::SerSnapshot& s) {
     api::Json b = api::Json::object();
@@ -209,13 +206,6 @@ MetricsSnapshot MetricsSnapshot::from_json(const api::Json& j) {
   s.memo_hits = static_cast<std::uint64_t>(cache.at("memo_hits").as_int());
   s.memo_misses = static_cast<std::uint64_t>(cache.at("memo_misses").as_int());
   s.memo_evictions = static_cast<std::uint64_t>(cache.at("memo_evictions").as_int());
-  // Absent in exports from builds before the kernel plan cache was
-  // surfaced; default 0.
-  if (cache.contains("plan_hits")) {
-    s.plan_hits = static_cast<std::uint64_t>(cache.at("plan_hits").as_int());
-    s.plan_misses = static_cast<std::uint64_t>(cache.at("plan_misses").as_int());
-    s.plan_entries = static_cast<std::uint64_t>(cache.at("plan_entries").as_int());
-  }
   // Absent in exports from builds before the v2 wire subsystem; default 0.
   if (j.contains("wire")) {
     const auto ser = [](const api::Json& b) {
@@ -266,9 +256,6 @@ MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts) {
     merged.memo_hits += p.memo_hits;
     merged.memo_misses += p.memo_misses;
     merged.memo_evictions += p.memo_evictions;
-    merged.plan_hits += p.plan_hits;
-    merged.plan_misses += p.plan_misses;
-    merged.plan_entries += p.plan_entries;
     const auto add = [](wire::SerSnapshot& a, const wire::SerSnapshot& b) {
       a.encode_ms += b.encode_ms;
       a.decode_ms += b.decode_ms;

@@ -105,9 +105,6 @@ struct MetricsSnapshot {
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   std::uint64_t memo_evictions = 0;  ///< result-memo LRU drops (max_memo)
-  std::uint64_t plan_hits = 0;       ///< kernel PlanCache lookups, resident
-  std::uint64_t plan_misses = 0;     ///< kernel PlanCache lookups, built
-  std::uint64_t plan_entries = 0;    ///< resident sampling plans (gauge)
 
   /// Process-wide serialization accounting per wire version (filled from
   /// `wire::SerStats` by Server::metrics(), zero for a bare

@@ -210,12 +210,6 @@ ServerReconfig reconfig_from_params(const api::Json& params) {
       const int w = value.as_int32();
       DEFA_CHECK(w >= 1, "protocol: 'locality_window' must be >= 1");
       rc.locality_window = w;
-    } else if (key == "backend") {
-      const std::string b = value.as_string();
-      DEFA_CHECK(b.empty() || kernels::find_backend(b) != nullptr,
-                 "protocol: unknown backend '" + b +
-                     "' (known: " + kernels::known_backends() + ")");
-      rc.backend = b;
     } else if (key == "max_contexts") {
       const std::int64_t n = value.as_int();
       DEFA_CHECK(n >= 0, "protocol: 'max_contexts' must be >= 0");
@@ -239,7 +233,6 @@ api::Json reconfig_params(const ServerReconfig& rc) {
   api::Json j = api::Json::object();
   if (rc.policy.has_value()) j["policy"] = policy_name(*rc.policy);
   if (rc.locality_window.has_value()) j["locality_window"] = *rc.locality_window;
-  if (rc.backend.has_value()) j["backend"] = *rc.backend;
   if (rc.max_contexts.has_value()) {
     j["max_contexts"] = static_cast<double>(*rc.max_contexts);
   }
@@ -349,7 +342,7 @@ api::Json batch_item_error(ErrorCode code, const std::string& message) {
 }
 
 const char* const kKnownMethods =
-    "hello, eval, eval_batch, metrics, backends, experiments, experiment, "
+    "hello, eval, eval_batch, metrics, experiments, experiment, "
     "ping, reconfigure, shard_info, trace, drain";
 
 /// The `hello` handshake result: the negotiated wire version for this
@@ -472,8 +465,8 @@ api::Json server_info(Server& server) {
   info["policy"] = policy_name(opts.policy);
   info["workers"] = opts.max_concurrency;
   info["queue_capacity"] = static_cast<double>(opts.queue_capacity);
-  info["backend"] = opts.engine.backend.empty() ? kernels::default_backend_name()
-                                                : opts.engine.backend;
+  // The MSGS kernel every request runs; reported, not settable.
+  info["backend"] = kernels::production().name();
   info["draining"] = server.draining();
   info["locality_window"] = opts.locality_window;
   info["max_contexts"] = static_cast<double>(opts.engine.max_contexts);
@@ -556,17 +549,6 @@ api::Json handle_trace(const api::Json& params, Server& server) {
   return j;
 }
 
-api::Json handle_backends(Server& server) {
-  api::Json j = api::Json::object();
-  const ServerOptions opts = server.options_snapshot();
-  j["default"] = opts.engine.backend.empty() ? kernels::default_backend_name()
-                                             : opts.engine.backend;
-  api::Json names = api::Json::array();
-  for (const std::string& name : kernels::backend_names()) names.push_back(name);
-  j["backends"] = std::move(names);
-  return j;
-}
-
 api::Json handle_experiments() {
   api::register_builtin_experiments();
   api::Json j = api::Json::object();
@@ -611,7 +593,6 @@ api::Json dispatch_admin_method(const std::string& method,
   known = true;
   if (method == "metrics") return server.metrics().to_json();
   if (method == "trace") return handle_trace(params, server);
-  if (method == "backends") return handle_backends(server);
   if (method == "experiments") return handle_experiments();
   if (method == "experiment") return handle_experiment(params, server);
   if (method == "ping") return handle_ping(server);

@@ -14,9 +14,8 @@
 ///   <- {"v": 1, "id": "r2", "ok": false,
 ///       "error": {"code": "overload", "message": "..."}}
 ///
-/// Methods: `hello`, `eval`, `eval_batch`, `metrics`, `backends`,
-/// `experiments`, `experiment`, `ping`, `reconfigure`, `shard_info`,
-/// `trace`, `drain`.  Failures carry typed error codes (`ErrorCode`
+/// Methods: `hello`, `eval`, `eval_batch`, `metrics`, `experiments`,
+/// `experiment`, `ping`, `reconfigure`, `shard_info`, `trace`, `drain`.  Failures carry typed error codes (`ErrorCode`
 /// below) instead of free-form strings.  Request envelopes may carry an
 /// optional `trace_id` field correlating client- and server-side trace
 /// spans (docs/OBSERVABILITY.md).
@@ -114,9 +113,9 @@ enum class ErrorCode {
 [[nodiscard]] ServeRequest eval_request_from_params(const api::Json& params);
 
 /// Parse the `reconfigure` params (`{"policy", "locality_window",
-/// "backend", "max_contexts", "max_memo", "memoize_results",
-/// "reset_stats"}`, all optional but at least one required).  Strict:
-/// unknown keys, unknown policy/backend names and out-of-range values
+/// "max_contexts", "max_memo", "memoize_results", "reset_stats"}`, all
+/// optional but at least one required).  Strict: unknown keys (among
+/// them the retired `backend`), unknown policy names and out-of-range values
 /// throw defa::CheckError.  The inverse, `reconfig_params`, builds the
 /// params frame a client sends (unset fields omitted).
 [[nodiscard]] ServerReconfig reconfig_from_params(const api::Json& params);

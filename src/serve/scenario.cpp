@@ -8,7 +8,6 @@
 #include "api/request.h"
 #include "api/run_meta.h"
 #include "common/check.h"
-#include "kernels/backend.h"
 
 namespace defa::serve {
 
@@ -56,7 +55,7 @@ void parse_server(const api::Json& j, ServerOptions& out) {
   check_keys(j,
              {"workers", "queue_capacity", "policy", "locality_window",
               "max_contexts", "max_memo", "memoize_results",
-              "max_parallel_requests", "backend"},
+              "max_parallel_requests"},
              "'server'");
   if (const api::Json* v = j.find("workers")) {
     out.max_concurrency = v->as_int32();
@@ -89,12 +88,6 @@ void parse_server(const api::Json& j, ServerOptions& out) {
   }
   if (const api::Json* v = j.find("memoize_results")) {
     out.engine.memoize_results = v->as_bool();
-  }
-  if (const api::Json* v = j.find("backend")) {
-    out.engine.backend = v->as_string();
-    DEFA_CHECK(kernels::find_backend(out.engine.backend) != nullptr,
-               "scenario: unknown backend '" + out.engine.backend +
-                   "' (known: " + kernels::known_backends() + ")");
   }
   if (const api::Json* v = j.find("max_parallel_requests")) {
     out.engine.max_parallel_requests = v->as_int32();
@@ -221,9 +214,7 @@ ScenarioFile load_scenario_file(const std::string& path) {
 api::Json SweepReport::to_json() const {
   api::Json j = api::Json::object();
   j["bench"] = "serve_sweep";
-  api::Json meta = api::run_metadata();
-  meta["backend"] = points.empty() ? std::string() : points.front().report.backend;
-  j["meta"] = std::move(meta);
+  j["meta"] = api::run_metadata();
   j["name"] = name;
   j["requests"] = requests;
   // Compact curve rows first: one per (rate, policy), everything a plot

@@ -23,8 +23,7 @@
 ///     "server": {                        // all optional
 ///       "workers": 0, "queue_capacity": 1024,
 ///       "policy": "locality", "locality_window": 8,
-///       "max_contexts": 2, "max_memo": 64, "memoize_results": false,
-///       "backend": "fused"               // kernels-registry name
+///       "max_contexts": 2, "max_memo": 64, "memoize_results": false
 ///     },
 ///     "sweep": {                         // optional: --sweep runs these
 ///       "rates_qps": [100, 200, 400],    //   open-loop points

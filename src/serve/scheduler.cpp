@@ -390,10 +390,9 @@ void Server::reconfigure(const ServerReconfig& rc) {
     DEFA_CHECK(*rc.locality_window >= 1,
                "Server::reconfigure: locality_window must be >= 1");
   }
-  // The Engine validates the backend name and applies its own fields under
-  // its locks (evicting caches down to new bounds as needed).
+  // The Engine applies its own fields under its locks (evicting caches
+  // down to new bounds as needed).
   api::Engine::Reconfig er;
-  er.backend = rc.backend;
   er.max_contexts = rc.max_contexts;
   er.max_memo = rc.max_memo;
   er.memoize_results = rc.memoize_results;
@@ -405,7 +404,6 @@ void Server::reconfigure(const ServerReconfig& rc) {
     if (rc.policy.has_value()) options_.policy = *rc.policy;
     if (rc.locality_window.has_value()) options_.locality_window = *rc.locality_window;
     // Mirror the engine fields so options()/ping stay truthful.
-    if (rc.backend.has_value()) options_.engine.backend = *rc.backend;
     if (rc.max_contexts.has_value()) options_.engine.max_contexts = *rc.max_contexts;
     if (rc.max_memo.has_value()) options_.engine.max_memo = *rc.max_memo;
     if (rc.memoize_results.has_value()) {
@@ -443,9 +441,6 @@ MetricsSnapshot Server::metrics() const {
   snap.memo_hits = cache.memo_hits;
   snap.memo_misses = cache.memo_misses;
   snap.memo_evictions = cache.memo_evictions;
-  snap.plan_hits = cache.plan_hits;
-  snap.plan_misses = cache.plan_misses;
-  snap.plan_entries = cache.plan_entries;
   snap.wire_v1 = wire::SerStats::instance().snapshot(1);
   snap.wire_v2 = wire::SerStats::instance().snapshot(2);
   return snap;

@@ -151,7 +151,6 @@ struct ServerOptions {
 struct ServerReconfig {
   std::optional<SchedulePolicy> policy;
   std::optional<int> locality_window;
-  std::optional<std::string> backend;       ///< "" = process default
   std::optional<std::size_t> max_contexts;  ///< 0 = unbounded
   std::optional<std::size_t> max_memo;      ///< 0 = unbounded
   std::optional<bool> memoize_results;

@@ -3,39 +3,40 @@
 /// \file backend_differential.h
 /// Reusable cross-backend differential harness.
 ///
-/// The repo's correctness contract is that every registered
-/// `kernels::Backend` is *bit-identical* to `reference` in fp32 and
-/// *exactly equal* on the INTn datapath — not "close", identical.  This
-/// header is the machinery that proves it, shared by
-/// tests/test_backend_differential.cpp and available to any future
-/// backend's own test file:
+/// The repo's correctness contract is that the production `fused` kernel
+/// is *bit-identical* to the `reference` oracle in fp32 and *exactly
+/// equal* on the INTn datapath — not "close", identical.  This header is
+/// the machinery that proves it, shared by
+/// tests/test_backend_differential.cpp:
 ///
 ///  * `differential_models()` — a model matrix spanning the dimensions a
 ///    backend can get wrong: every power-of-two d_head a register tile
 ///    might specialize on plus awkward widths (1, 3, 24), level counts
 ///    1..4, degenerate shapes (single-pixel level, one head, one point),
-///    and the >=512-channel heads that exceed any register-tile
+///    query counts around the fused kernel's 32-query geometry tile
+///    (below one tile, not a multiple of it, split across parallel
+///    chunks), and the >=512-channel heads that exceed any register-tile
 ///    specialization.
 ///  * `make_inputs()` — seeded adversarial inputs: sampling locations
 ///    sweep in-bounds, out-of-bounds and *exact-integer* coordinates
 ///    (t = 0 edge cases), probabilities are a real softmax.
 ///  * `spec_variants()` — the MsgsSpec axis: dense fp32, PAP-masked,
-///    INT12/INT8 quantized, masked+quantized, and a wide INTn config that
-///    exercises vector-tier overflow fallbacks.
+///    INT12/INT8 quantized, masked+quantized, a mask that empties one
+///    whole query tile, and a wide INTn config that exercises vector-tier
+///    overflow fallbacks.
 ///  * `expect_bits_equal()` — comparison at the *bit-pattern* level
 ///    (float == would pass -0.0 vs +0.0 and miss NaN payloads), printing
 ///    the failing index and a reproducer line.
 ///  * `run_kernel_differential()` — the full kernel-level sweep of one
-///    backend against reference: every model x input seed x spec variant,
-///    each with and without a prebuilt SamplingPlan.
+///    backend against reference: every model x input seed x spec variant.
 ///
-/// A new backend earns its registry slot by passing
-///   run_kernel_differential(<name>)
-/// plus the pipeline/engine-level matrix in the test file — see
-/// docs/KERNELS.md ("Adding a backend").
+/// A kernel change is done when `run_kernel_differential("fused")` and the
+/// pipeline/engine-level matrix in the test file pass under every
+/// `DEFA_SIMD` tier — see docs/KERNELS.md.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -46,7 +47,6 @@
 
 #include "config/model_config.h"
 #include "kernels/backend.h"
-#include "kernels/plan.h"
 #include "nn/softmax.h"
 #include "prune/pap.h"
 #include "tensor/tensor.h"
@@ -56,8 +56,7 @@ namespace defa::difftest {
 // ------------------------------------------------------------------ env RAII
 
 /// Scoped environment-variable override (save on construction, restore on
-/// destruction) for the DEFA_SIMD / DEFA_BACKEND knobs the differential
-/// tests flip.
+/// destruction) for the DEFA_SIMD knob the differential tests flip.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -122,7 +121,7 @@ inline std::vector<DiffModel> differential_models() {
                    make_model("dhead" + std::to_string(dh), 2 * dh, 2, 3,
                               {{6, 7}, {3, 4}})});
   }
-  // Level-count sweep 1..4 (level-major plan layout).
+  // Level-count sweep 1..4.
   out.push_back({"levels1", make_model("levels1", 32, 2, 2, {{7, 6}})});
   out.push_back({"levels3", make_model("levels3", 32, 2, 2, {{7, 6}, {4, 3}, {2, 2}})});
   out.push_back(
@@ -132,6 +131,14 @@ inline std::vector<DiffModel> differential_models() {
   out.push_back({"pixel_level", make_model("pixel_level", 16, 2, 2, {{5, 5}, {1, 1}})});
   out.push_back({"one_head", make_model("one_head", 24, 1, 2, {{5, 4}, {2, 3}})});
   out.push_back({"one_point", make_model("one_point", 16, 4, 1, {{6, 5}, {3, 3}})});
+  // Query counts around the fused kernel's 32-query geometry tile: below
+  // one tile, not a multiple of it, and (at 256 channel ops per point)
+  // large enough that the query loop splits into parallel chunks whose
+  // boundaries fall inside tiles.
+  out.push_back({"tile_under", make_model("tile_under", 16, 2, 2, {{3, 4}})});
+  out.push_back({"tile_ragged", make_model("tile_ragged", 16, 2, 2, {{9, 7}, {5, 4}})});
+  out.push_back(
+      {"tile_chunks", make_model("tile_chunks", 64, 2, 4, {{20, 30}, {10, 15}})});
   return out;
 }
 
@@ -194,6 +201,9 @@ struct SpecVariant {
   bool quantized = false;
   int act_bits = 12;
   int frac_bits = 12;
+  /// Also prune every point of one whole 32-query tile (the second tile,
+  /// or the first when there is only one).
+  bool empty_tile = false;
 };
 
 /// The MsgsSpec axis.  "int16x16" is act+frac = 32 > kMaxVectorQuantBits,
@@ -206,6 +216,8 @@ inline std::vector<SpecVariant> spec_variants() {
       {"int8", false, 0.05, true, 8, 8},
       {"int12+pap", true, 0.05, true, 12, 12},
       {"int16x16", false, 0.05, true, 16, 16},
+      {"fp32+empty_tile", true, 0.05, false, 12, 12, /*empty_tile=*/true},
+      {"int12+empty_tile", true, 0.05, true, 12, 12, true},
   };
 }
 
@@ -242,17 +254,33 @@ inline bool expect_bits_equal(const Tensor& ref, const Tensor& got,
 /// exact failing case by hand.
 inline std::string kernel_reproducer(const std::string& backend,
                                      const std::string& model_label,
-                                     std::uint64_t seed, const SpecVariant& v,
-                                     bool with_plan) {
+                                     std::uint64_t seed, const SpecVariant& v) {
   return "[difftest backend=" + backend + " model=" + model_label +
-         " seed=" + std::to_string(seed) + " spec=" + v.label +
-         (with_plan ? " plan=prebuilt" : " plan=none") + "]";
+         " seed=" + std::to_string(seed) + " spec=" + v.label + "]";
+}
+
+/// The point mask of one spec variant: PAP at `pap_tau`, plus, for
+/// `empty_tile`, every point of one whole 32-query tile pruned.
+inline prune::PointMask variant_mask(const ModelConfig& m, const Tensor& probs,
+                                     const SpecVariant& v) {
+  prune::PointMask mask = prune::pap_prune(m, probs, v.pap_tau, nullptr);
+  if (v.empty_tile) {
+    constexpr std::int64_t kTile = 32;
+    const std::int64_t begin = m.n_in() > kTile ? kTile : 0;
+    for (std::int64_t q = begin; q < std::min(begin + kTile, m.n_in()); ++q) {
+      for (int h = 0; h < m.n_heads; ++h) {
+        for (int l = 0; l < m.n_levels; ++l) {
+          for (int p = 0; p < m.n_points; ++p) mask.set_keep(q, h, l, p, false);
+        }
+      }
+    }
+  }
+  return mask;
 }
 
 /// Run the full kernel-level differential sweep of `backend_name` against
 /// the reference backend: differential_models() x `seeds` x
-/// spec_variants(), each combination with and without a prebuilt
-/// SamplingPlan.  Every output must match reference bit for bit.
+/// spec_variants().  Every output must match reference bit for bit.
 inline void run_kernel_differential(const std::string& backend_name,
                                     const std::vector<std::uint64_t>& seeds = {7, 1234}) {
   const kernels::Backend& ref = kernels::backend("reference");
@@ -264,7 +292,6 @@ inline void run_kernel_differential(const std::string& backend_name,
   for (const DiffModel& dm : differential_models()) {
     for (const std::uint64_t seed : seeds) {
       const DiffInputs in = make_inputs(dm.m, seed);
-      const kernels::SamplingPlan plan = kernels::SamplingPlan::build(dm.m, in.locs);
       for (const SpecVariant& v : spec_variants()) {
         std::optional<prune::PointMask> mask;
         kernels::MsgsSpec spec;
@@ -272,18 +299,14 @@ inline void run_kernel_differential(const std::string& backend_name,
         spec.act_bits = v.act_bits;
         spec.frac_bits = v.frac_bits;
         if (v.pap) {
-          mask.emplace(prune::pap_prune(dm.m, in.probs, v.pap_tau, nullptr));
+          mask.emplace(variant_mask(dm.m, in.probs, v));
           spec.point_mask = &*mask;
         }
         const Tensor expect = ref.run_msgs(dm.m, in.values, in.probs, in.locs, spec);
-        for (const bool with_plan : {false, true}) {
-          spec.plan = with_plan ? &plan : nullptr;
-          const Tensor got = bk.run_msgs(dm.m, in.values, in.probs, in.locs, spec);
-          if (!expect_bits_equal(
-                  expect, got,
-                  kernel_reproducer(backend_name, dm.label, seed, v, with_plan))) {
-            return;  // one reproducer per run is enough to debug
-          }
+        const Tensor got = bk.run_msgs(dm.m, in.values, in.probs, in.locs, spec);
+        if (!expect_bits_equal(expect, got,
+                               kernel_reproducer(backend_name, dm.label, seed, v))) {
+          return;  // one reproducer per run is enough to debug
         }
       }
     }

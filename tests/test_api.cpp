@@ -196,6 +196,34 @@ TEST(EvalRequest, OutOfIntRangeNumbersRejected) {
   }
 }
 
+// The MSGS kernel indexes the (n_in x d_model) value buffer with int32
+// offsets, so validate() refuses a larger model at admission, before
+// anything is allocated: this test only calls validate().
+TEST(EvalRequest, ValueBufferBeyondInt32Rejected) {
+  const auto request = [](int h, int w) {
+    EvalRequest req;
+    ModelConfig m;
+    m.name = "huge";
+    m.d_model = 256;
+    m.n_heads = 8;
+    m.n_levels = 1;
+    m.levels = {{h, w}};
+    req.model = m;
+    return req;
+  };
+  // 2048 x 4096 tokens x 256 channels = 2^31, one past INT32_MAX.
+  try {
+    request(2048, 4096).validate();
+    ADD_FAILURE() << "a 2^31-element value buffer validated";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("INT32_MAX"), std::string::npos) << e.what();
+  }
+  // Far beyond: the check itself must not overflow.
+  EXPECT_THROW(request(2147483647, 2147483647).validate(), CheckError);
+  // 2047 x 4096 x 256 fits.
+  EXPECT_NO_THROW(request(2047, 4096).validate());
+}
+
 TEST(EvalRequest, ValidRequestPasses) {
   EXPECT_NO_THROW(tiny_request(kAllOutputs).validate());
 }

@@ -1,12 +1,13 @@
-// Cross-backend differential tests: every registered kernels::Backend must
-// be bit-identical to `reference` in fp32 and exactly equal on the INTn
-// datapath — at the kernel level (run_msgs over the adversarial model x
-// input x spec matrix of backend_differential.h), at the pipeline level
-// (EncoderPipeline under every PruneConfig factory), and at the Engine
-// level (request backend overlays, batched execution, randomized fuzz
-// requests).  Plus the satellites that ride on the harness: the
-// >=512-channel register-tile cap regression and the fused backend's
-// INTn ISA dispatch/availability semantics.
+// Cross-backend differential tests: the production `fused` kernel must be
+// bit-identical to the `reference` oracle in fp32 and exactly equal on
+// the INTn datapath — at the kernel level (run_msgs over the adversarial
+// model x input x spec matrix of backend_differential.h), at the pipeline
+// level (EncoderPipeline under every PruneConfig factory), and at the
+// Engine level (served requests, batched execution, randomized fuzz
+// requests, each against the oracle's run on a private pipeline).  Plus
+// the satellites that ride on the harness: the >=512-channel register-tile
+// cap regression and the fused kernel's INTn ISA dispatch/availability
+// semantics.
 
 #include <gtest/gtest.h>
 
@@ -169,22 +170,42 @@ TEST(PipelineDifferential, AllConfigsAllBackends) {
 
 // ----------------------------------------------------- engine-level matrix
 
-TEST(EngineDifferential, BackendOverlayBitIdentical) {
+/// The reference oracle's answer to `req`: a private pipeline whose dense
+/// reference trajectory is built by `reference` too, so nothing the
+/// Engine cached on the production kernel leaks into the expectation.
+core::EncoderResult oracle_run(const api::EvalRequest& req) {
+  const ModelConfig m = req.resolve_model();
+  const workload::SceneWorkload wl(m, req.resolve_scene(m));
+  const core::EncoderPipeline pipeline(wl);
+  return pipeline.run(req.resolve_prune(m), &kernels::backend("reference"));
+}
+
+/// Does the Engine's functional answer equal the oracle's run?
+bool matches_oracle(const api::FunctionalStats& got, const core::EncoderResult& ref) {
+  if (got.final_nrmse != ref.final_nrmse ||
+      got.point_reduction != ref.point_reduction() ||
+      got.pixel_reduction != ref.pixel_reduction() ||
+      got.layers.size() != ref.layers.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < ref.layers.size(); ++i) {
+    if (got.layers[i].out_nrmse != ref.layers[i].out_nrmse ||
+        got.layers[i].kept_points != static_cast<double>(ref.layers[i].kept_points)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(EngineDifferential, ServedRequestMatchesOracle) {
   api::Engine engine;
   api::EvalRequest req;
   req.preset = "tiny";
   req.outputs = api::kFunctional;
-  req.backend = "reference";
-  const api::EvalResult expect = engine.run(req);
-  ASSERT_TRUE(expect.functional.has_value());
-  for (const std::string& name : kernels::backend_names()) {
-    if (!kernels::backend(name).unavailable_reason().empty()) continue;
-    req.backend = name;
-    const api::EvalResult got = engine.run(req);
-    ASSERT_TRUE(got.functional.has_value()) << name;
-    EXPECT_TRUE(*expect.functional == *got.functional)
-        << "[engine backend=" << name << "] functional stats diverge";
-  }
+  const api::EvalResult got = engine.run(req);
+  ASSERT_TRUE(got.functional.has_value());
+  EXPECT_TRUE(matches_oracle(*got.functional, oracle_run(req)))
+      << "[engine] functional stats diverge from the reference oracle";
 }
 
 // -------------------------------------------------------------- fuzz sweep
@@ -232,44 +253,34 @@ api::EvalRequest random_request(Rng& rng) {
   return req;
 }
 
-// Seeded randomized EvalRequests through every backend pair: randomized
-// model/scene/prune pulled through the full Engine stack must produce
-// exactly equal functional results on every backend.  A failure prints a
-// reproducer (master seed + case index + request JSON) sufficient to
-// replay the case by hand through defa_cli or a unit test.
-TEST(FuzzDifferential, RandomRequestsAllBackends) {
+// Seeded randomized EvalRequests: randomized model/scene/prune pulled
+// through the full Engine stack must produce exactly the oracle's
+// functional results.  A failure prints a reproducer (master seed + case
+// index + request JSON) sufficient to replay the case by hand through
+// defa_cli or a unit test.
+TEST(FuzzDifferential, RandomRequestsMatchOracle) {
   constexpr std::uint64_t kMasterSeed = 20240817;
   constexpr int kCases = 10;
   Rng rng(kMasterSeed);
   api::Engine engine;
   for (int i = 0; i < kCases; ++i) {
-    api::EvalRequest req = random_request(rng);
-    req.backend = "reference";
-    const api::EvalResult expect = engine.run(req);
-    ASSERT_TRUE(expect.functional.has_value());
-    for (const std::string& name : kernels::backend_names()) {
-      if (!kernels::backend(name).unavailable_reason().empty()) continue;
-      req.backend = name;
-      const api::EvalResult got = engine.run(req);
-      ASSERT_TRUE(got.functional.has_value());
-      if (!(*expect.functional == *got.functional)) {
-        req.backend.reset();  // the reproducer is backend-independent
-        ADD_FAILURE() << "[fuzz seed=" << kMasterSeed << " case=" << i
-                      << " backend=" << name
-                      << "] functional stats diverge from reference; request: "
-                      << api::to_json(req).dump();
-        return;
-      }
+    const api::EvalRequest req = random_request(rng);
+    const api::EvalResult got = engine.run(req);
+    ASSERT_TRUE(got.functional.has_value());
+    if (!matches_oracle(*got.functional, oracle_run(req))) {
+      ADD_FAILURE() << "[fuzz seed=" << kMasterSeed << " case=" << i
+                    << "] functional stats diverge from reference; request: "
+                    << api::to_json(req).dump();
+      return;
     }
   }
 }
 
 // ----------------------------------------------------- loaded-pool batch
 
-// run_batch evaluates concurrently on the same pool the fused backend's
+// run_batch evaluates concurrently on the same pool the fused kernel's
 // query loops execute on — nested parallelism plus cross-request
-// contention.  Batched results must equal sequential reference results
-// exactly.
+// contention.  Batched results must equal the sequential oracle exactly.
 TEST(EngineDifferential, LoadedPoolBatchMatchesSequentialReference) {
   api::Engine engine(api::Engine::Options{.memoize_results = false});
   std::vector<api::EvalRequest> batch;
@@ -279,18 +290,14 @@ TEST(EngineDifferential, LoadedPoolBatchMatchesSequentialReference) {
     workload::SceneParams sp;
     sp.seed = static_cast<std::uint64_t>(1 + i % 3);  // repeated keys contend
     req.scene = sp;
-    req.backend = "fused";
     req.outputs = api::kFunctional;
     batch.push_back(req);
   }
   const std::vector<api::EvalResult> got = engine.run_batch(batch);
   ASSERT_EQ(got.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    api::EvalRequest ref_req = batch[i];
-    ref_req.backend = "reference";
-    const api::EvalResult expect = engine.run(ref_req);
-    ASSERT_TRUE(expect.functional.has_value() && got[i].functional.has_value());
-    EXPECT_TRUE(*expect.functional == *got[i].functional)
+    ASSERT_TRUE(got[i].functional.has_value());
+    EXPECT_TRUE(matches_oracle(*got[i].functional, oracle_run(batch[i])))
         << "[fused batch request " << i << "] diverges from sequential reference";
   }
 }

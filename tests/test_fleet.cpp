@@ -151,9 +151,6 @@ TEST(MergeSnapshots, SumsCountersAndMergesRawBuckets) {
   a.uptime_ms = 1000;
   a.context_hits = 5;
   a.memo_misses = 3;
-  a.plan_hits = 7;
-  a.plan_misses = 2;
-  a.plan_entries = 4;
   a.total_ms.record(1.0);
   a.total_ms.record(2.0);
   a.per_benchmark.emplace_back("tiny", 8);
@@ -163,8 +160,6 @@ TEST(MergeSnapshots, SumsCountersAndMergesRawBuckets) {
   b.completed_ok = 4;
   b.uptime_ms = 2000;
   b.context_hits = 1;
-  b.plan_hits = 1;
-  b.plan_entries = 2;
   b.total_ms.record(100.0);
   b.per_benchmark.emplace_back("tiny", 3);
   b.per_benchmark.emplace_back("small", 1);
@@ -175,16 +170,6 @@ TEST(MergeSnapshots, SumsCountersAndMergesRawBuckets) {
   EXPECT_EQ(m.errors, 2u);
   EXPECT_EQ(m.context_hits, 6u);
   EXPECT_EQ(m.memo_misses, 3u);
-  EXPECT_EQ(m.plan_hits, 8u);
-  EXPECT_EQ(m.plan_misses, 2u);
-  EXPECT_EQ(m.plan_entries, 6u);
-
-  // The plan counters survive the wire format (and stay optional for old
-  // exports: from_json defaults them to zero when the keys are absent).
-  const serve::MetricsSnapshot wired = serve::MetricsSnapshot::from_json(a.to_json());
-  EXPECT_EQ(wired.plan_hits, 7u);
-  EXPECT_EQ(wired.plan_misses, 2u);
-  EXPECT_EQ(wired.plan_entries, 4u);
   EXPECT_EQ(m.total_ms.count(), 3u);
   EXPECT_DOUBLE_EQ(m.total_ms.max(), 100.0);
   // Shards run in parallel: fleet uptime is the max, and qps is the
@@ -295,14 +280,6 @@ TEST(EngineReconfigure, ShrinkingCacheBoundsEvictsAndResetStatsZeroes) {
   EXPECT_EQ(engine.cache_stats().context.hits, 0u);
   EXPECT_EQ(engine.cache_stats().context.evictions, 0u);
   EXPECT_EQ(engine.cache_stats().memo_misses, 0u);
-
-  // An unknown backend is refused before anything is applied.
-  api::Engine::Reconfig bad;
-  bad.backend = "no_such_backend";
-  bad.max_contexts = 99;
-  EXPECT_THROW(engine.reconfigure(bad), CheckError);
-  EXPECT_EQ(engine.cached_contexts(), 1u);  // untouched
-  (void)engine.run(req);                    // still serves
 }
 
 TEST(ServerReconfigure, SwitchesPolicyAndResetsMetricsBetweenDispatches) {

@@ -1,24 +1,18 @@
-// Tests for the pluggable compute-backend layer (src/kernels/): registry
-// behavior, the backend-equivalence suite (fused vs reference must be
-// bit-identical in fp32 and exactly equal on the INTn datapath, under
-// every PruneConfig shape), sampling-plan correctness and plan-cache
-// reuse, and the unknown-backend error paths of the Engine / request /
-// scenario surfaces.
+// Tests for the compute-backend layer (src/kernels/): registry behavior,
+// the backend-equivalence suite (the production `fused` kernel vs the
+// `reference` oracle must be bit-identical in fp32 and exactly equal on
+// the INTn datapath, under every PruneConfig shape), and the fused
+// kernel's input checks.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "api/engine.h"
 #include "api/request.h"
 #include "core/msgs.h"
 #include "core/pipeline.h"
 #include "kernels/backend.h"
-#include "kernels/plan.h"
 #include "nn/msdeform.h"
 #include "nn/softmax.h"
 #include "prune/pap.h"
-#include "serve/scenario.h"
 #include "workload/scene.h"
 
 namespace defa {
@@ -67,37 +61,16 @@ TEST(KernelRegistry, BuiltinBackendsRegistered) {
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
-// The registry is a fixed table of exactly two backends: the reference
-// anchor and the optimized fused path.  Names of removed backends must
-// fail validation everywhere a backend can be named, listing the two.
+// The registry is a fixed table of exactly two backends: the production
+// kernel and the reference oracle.  Names of removed backends fail the
+// lookup, listing the two.
 TEST(KernelRegistry, ExactlyReferenceAndFused) {
   EXPECT_EQ(kernels::backend_names(), (std::vector<std::string>{"fused", "reference"}));
-  EXPECT_EQ(kernels::known_backends(), "fused, reference");
   for (const char* removed : {"simd", "tiled", "quill"}) {
-    EXPECT_EQ(kernels::find_backend(removed), nullptr) << removed;
-    api::EvalRequest req;
-    req.preset = "tiny";
-    req.backend = removed;
     try {
-      req.validate();
-      ADD_FAILURE() << "request naming '" << removed << "' validated";
+      (void)kernels::backend(removed);
+      ADD_FAILURE() << "lookup of '" << removed << "' succeeded";
     } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown backend"), std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find("(known: fused, reference)"),
-                std::string::npos)
-          << e.what();
-    }
-    const std::string text = std::string(R"({
-      "scenarios": [{"name": "t", "request": {"preset": "tiny"}}],
-      "server": {"backend": ")") + removed + R"("}
-    })";
-    try {
-      (void)serve::scenario_file_from_json(api::Json::parse(text));
-      ADD_FAILURE() << "scenario naming '" << removed << "' parsed";
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown backend"), std::string::npos)
-          << e.what();
       EXPECT_NE(std::string(e.what()).find("(known: fused, reference)"),
                 std::string::npos)
           << e.what();
@@ -105,37 +78,12 @@ TEST(KernelRegistry, ExactlyReferenceAndFused) {
   }
 }
 
-TEST(KernelRegistry, FindAndLookup) {
-  EXPECT_NE(kernels::find_backend("reference"), nullptr);
-  EXPECT_EQ(kernels::find_backend("no_such_backend"), nullptr);
+TEST(KernelRegistry, LookupAndProductionKernel) {
   EXPECT_EQ(kernels::backend("fused").name(), "fused");
+  EXPECT_EQ(kernels::backend("reference").name(), "reference");
+  EXPECT_EQ(&kernels::production(), &kernels::backend("fused"));
+  EXPECT_EQ(api::EvalRequest{}.resolve_backend(), "fused");
   EXPECT_THROW((void)kernels::backend("no_such_backend"), CheckError);
-  try {
-    (void)kernels::backend("no_such_backend");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    // The error must list the known names so operators can self-serve.
-    EXPECT_NE(std::string(e.what()).find("reference"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("fused"), std::string::npos);
-  }
-}
-
-TEST(KernelRegistry, DefaultBackendFollowsEnvironment) {
-  const char* saved = std::getenv("DEFA_BACKEND");
-  const std::string restore = saved != nullptr ? saved : "";
-  unsetenv("DEFA_BACKEND");
-  EXPECT_EQ(kernels::default_backend_name(), "reference");
-  setenv("DEFA_BACKEND", "fused", 1);
-  EXPECT_EQ(kernels::default_backend_name(), "fused");
-  // Unknown names fall back to the reference backend instead of failing
-  // every evaluation in the process.
-  setenv("DEFA_BACKEND", "no_such_backend", 1);
-  EXPECT_EQ(kernels::default_backend_name(), "reference");
-  if (saved != nullptr) {
-    setenv("DEFA_BACKEND", restore.c_str(), 1);
-  } else {
-    unsetenv("DEFA_BACKEND");
-  }
 }
 
 // ------------------------------------------------------- kernel equivalence
@@ -239,203 +187,14 @@ TEST(BackendEquivalence, PipelineRunsIdenticalUnderEveryPruneConfig) {
   }
 }
 
-TEST(BackendEquivalence, EngineResultsIdenticalAcrossBackends) {
-  api::EvalRequest req;
-  req.preset = "tiny";
-  req.outputs = api::kFunctional | api::kAccuracy;
+// ------------------------------------------------------------ input checks
 
-  api::Engine::Options ref_opts;
-  ref_opts.backend = "reference";
-  api::Engine ref_engine(ref_opts);
-  api::Engine::Options fused_opts;
-  fused_opts.backend = "fused";
-  api::Engine fused_engine(fused_opts);
-  EXPECT_EQ(ref_engine.run(req), fused_engine.run(req));
-
-  // Per-request overlay beats the engine option: the same engine must
-  // produce the same bytes under both overlays.
-  api::EvalRequest overlay = req;
-  overlay.backend = "fused";
-  EXPECT_EQ(ref_engine.run(req), ref_engine.run(overlay));
-}
-
-// ------------------------------------------------------------ sampling plan
-
-TEST(SamplingPlan, PlanAndPlanlessCallsMatchBitwise) {
+TEST(FusedKernel, RejectsWrongLocsShape) {
   Fixture fx;
-  const kernels::SamplingPlan plan = kernels::SamplingPlan::build(fx.m, fx.locs);
-  EXPECT_TRUE(plan.matches(fx.m));
-  const kernels::Backend& fused = kernels::backend("fused");
-  kernels::MsgsSpec with_plan;
-  with_plan.plan = &plan;
-  expect_bitwise_equal(
-      fused.run_msgs(fx.m, fx.values, fx.probs, fx.locs, kernels::MsgsSpec{}),
-      fused.run_msgs(fx.m, fx.values, fx.probs, fx.locs, with_plan),
-      "plan vs planless");
-}
-
-TEST(SamplingPlan, RejectsWrongShapes) {
-  Fixture fx;
-  Tensor bad_locs({fx.m.n_in(), fx.m.n_heads, fx.m.n_levels, fx.m.n_points, 3});
-  EXPECT_THROW((void)kernels::SamplingPlan::build(fx.m, bad_locs), CheckError);
-
-  // A plan built for another model must be rejected by the fused backend.
-  const ModelConfig other = ModelConfig::small();
-  workload::SceneParams sp;
-  sp.seed = other.seed;
-  const workload::SceneWorkload wl(other, sp);
-  const kernels::SamplingPlan plan =
-      kernels::SamplingPlan::build(other, wl.layer_fields(0).locs);
-  kernels::MsgsSpec spec;
-  spec.plan = &plan;
+  const Tensor bad_locs({fx.m.n_in(), fx.m.n_heads, fx.m.n_levels, fx.m.n_points, 3});
   EXPECT_THROW((void)kernels::backend("fused").run_msgs(fx.m, fx.values, fx.probs,
-                                                        fx.locs, spec),
+                                                        bad_locs, kernels::MsgsSpec{}),
                CheckError);
-}
-
-TEST(PlanCache, SecondGetHitsAndSharesThePlan) {
-  Fixture fx;
-  kernels::PlanCache cache;
-  const auto a = cache.get("layer0", fx.m, fx.locs);
-  const auto b = cache.get("layer0", fx.m, fx.locs);
-  EXPECT_EQ(a.get(), b.get());  // same shared plan object
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  (void)cache.get("layer1", fx.m, fx.locs);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);  // counters survive clear()
-}
-
-TEST(PlanCache, GetFeedsGlobalCounters) {
-  Fixture fx;
-  const kernels::PlanCache::GlobalStats before = kernels::PlanCache::global_stats();
-  kernels::PlanCache cache;
-  const auto a = cache.get("layer0", fx.m, fx.locs);
-  const auto b = cache.get("layer0", fx.m, fx.locs);
-  EXPECT_EQ(a.get(), b.get());
-  (void)cache.get("layer1", fx.m, fx.locs);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Instance traffic is mirrored into the process-wide counters the
-  // engine's metrics read (plan caches live inside pooled contexts).
-  kernels::PlanCache::GlobalStats now = kernels::PlanCache::global_stats();
-  EXPECT_EQ(now.hits - before.hits, 1u);
-  EXPECT_EQ(now.misses - before.misses, 2u);
-  EXPECT_EQ(now.entries - before.entries, 2u);
-  cache.clear();
-  now = kernels::PlanCache::global_stats();
-  EXPECT_EQ(now.entries, before.entries);  // the gauge drops on clear()
-  EXPECT_EQ(now.misses - before.misses, 2u);  // counters survive clear()
-}
-
-TEST(PlanCache, GlobalCountersSurfaceThroughEngineStats) {
-  api::Engine engine(api::Engine::Options{.memoize_results = false});
-  engine.reset_stats();
-  api::EvalRequest req;
-  req.preset = "tiny";
-  req.outputs = api::kFunctional;
-  req.backend = "fused";  // wants_plan -> per-layer sampling plans
-  // PAP-only keeps the sampling locations dense, so run() reuses the
-  // cached per-layer plans (the default defa config narrows + quantizes,
-  // which moves geometry and bypasses the cache).
-  req.prune = PruneConfig::only_pap();
-  (void)engine.run(req);
-  const api::Engine::CacheStats first = engine.cache_stats();
-  EXPECT_GT(first.plan_misses, 0u);
-  EXPECT_GT(first.plan_entries, 0u);
-  // The same workload again only hits (dense geometry is cached per layer).
-  (void)engine.run(req);
-  const api::Engine::CacheStats second = engine.cache_stats();
-  EXPECT_EQ(second.plan_misses, first.plan_misses);
-  EXPECT_GT(second.plan_hits, first.plan_hits);
-  // reset_stats zeroes the counters but not the resident-entries gauge.
-  engine.reset_stats();
-  const api::Engine::CacheStats reset = engine.cache_stats();
-  EXPECT_EQ(reset.plan_hits, 0u);
-  EXPECT_EQ(reset.plan_misses, 0u);
-  EXPECT_EQ(reset.plan_entries, second.plan_entries);
-}
-
-TEST(PlanCache, PipelineReusesLayerPlansAcrossConfigs) {
-  const ModelConfig m = ModelConfig::tiny();
-  workload::SceneParams sp;
-  sp.seed = m.seed;
-  const workload::SceneWorkload wl(m, sp);
-  const EncoderPipeline pipe(wl);
-  const kernels::Backend& fused = kernels::backend("fused");
-
-  // Building the reference trajectory populates one plan per layer...
-  (void)pipe.run(PruneConfig::baseline(), &fused);
-  const kernels::PlanCache::Stats after_build = pipe.plan_cache_stats();
-  EXPECT_EQ(after_build.misses, static_cast<std::uint64_t>(m.n_layers));
-
-  // ...and dense-geometry configs (PAP/FWP-only) only ever hit.
-  (void)pipe.run(PruneConfig::only_pap(), &fused);
-  (void)pipe.run(PruneConfig::only_fwp(), &fused);
-  const kernels::PlanCache::Stats after_runs = pipe.plan_cache_stats();
-  EXPECT_EQ(after_runs.misses, after_build.misses);
-  EXPECT_GE(after_runs.hits,
-            after_build.hits + 2 * static_cast<std::uint64_t>(m.n_layers));
-
-  // Geometry-moving configs (quantize/narrow) bypass the cache entirely.
-  (void)pipe.run(PruneConfig::only_quant(12), &fused);
-  EXPECT_EQ(pipe.plan_cache_stats().misses, after_runs.misses);
-}
-
-// ------------------------------------------------------- unknown-name paths
-
-TEST(BackendErrors, EngineOptionsRejectUnknownBackend) {
-  api::Engine::Options opts;
-  opts.backend = "no_such_backend";
-  EXPECT_THROW(api::Engine{opts}, CheckError);
-}
-
-TEST(BackendErrors, RequestValidateRejectsUnknownBackend) {
-  api::EvalRequest req;
-  req.preset = "tiny";
-  req.backend = "no_such_backend";
-  EXPECT_THROW(req.validate(), CheckError);
-  api::Engine engine;
-  EXPECT_THROW((void)engine.run(req), CheckError);
-}
-
-TEST(BackendErrors, RequestJsonRoundTripsBackendField) {
-  api::EvalRequest req;
-  req.preset = "tiny";
-  req.backend = "fused";
-  const api::EvalRequest parsed = api::eval_request_from_json(api::to_json(req));
-  ASSERT_TRUE(parsed.backend.has_value());
-  EXPECT_EQ(*parsed.backend, "fused");
-  EXPECT_EQ(parsed.request_key(), req.request_key());
-
-  // An absent field stays absent (engine default applies at run time).
-  api::EvalRequest plain;
-  plain.preset = "tiny";
-  EXPECT_FALSE(api::eval_request_from_json(api::to_json(plain)).backend.has_value());
-}
-
-TEST(BackendErrors, ScenarioFileRejectsUnknownBackend) {
-  const char* text = R"({
-    "scenarios": [{"name": "t", "request": {"preset": "tiny"}}],
-    "server": {"backend": "no_such_backend"}
-  })";
-  EXPECT_THROW((void)serve::scenario_file_from_json(api::Json::parse(text)),
-               CheckError);
-}
-
-TEST(BackendErrors, ScenarioFileAcceptsBackendAndMaxMemo) {
-  const char* text = R"({
-    "scenarios": [{"name": "t", "request": {"preset": "tiny"}}],
-    "server": {"backend": "fused", "max_memo": 32}
-  })";
-  const serve::ScenarioFile file =
-      serve::scenario_file_from_json(api::Json::parse(text));
-  EXPECT_EQ(file.base.server.engine.backend, "fused");
-  EXPECT_EQ(file.base.server.engine.max_memo, 32u);
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "common/rng.h"
 #include "serve/loadgen.h"
 #include "serve/protocol.h"
+#include "serve/scenario.h"
 #include "serve/scheduler.h"
 #include "serve/server_loop.h"
 #include "serve/transport.h"
@@ -189,6 +190,42 @@ TEST(ProtocolSession, UnknownMethodAndEnvelopeKeyAreTypedErrors) {
   EXPECT_EQ(error_code_of(*frame_with_id(frames, "k")), "validation");
 }
 
+// The backend knob is gone from the wire: a `backend` key in an eval
+// request, in reconfigure params or in a scenario file is a validation
+// error naming the key, and the `backends` method no longer exists.
+TEST(ProtocolSession, RetiredBackendKeyAndMethod) {
+  const std::vector<Json> frames = run_session(
+      R"({"v":1,"id":"e","method":"eval","params":{"preset":"tiny","backend":"fused"}})" "\n"
+      R"({"v":1,"id":"r","method":"reconfigure","params":{"backend":"fused"}})" "\n"
+      R"({"v":1,"id":"b","method":"backends"})" "\n");
+  ASSERT_EQ(frames.size(), 3u);
+  for (const char* id : {"e", "r"}) {
+    const Json& f = *frame_with_id(frames, id);
+    EXPECT_EQ(error_code_of(f), "validation") << id;
+    EXPECT_NE(f.at("error").at("message").as_string().find("'backend'"),
+              std::string::npos)
+        << f.dump();
+  }
+  EXPECT_EQ(error_code_of(*frame_with_id(frames, "b")), "unknown_method");
+
+  for (const char* text : {
+           R"({"scenarios": [{"name": "t", "request": {"preset": "tiny"}}],
+               "server": {"backend": "fused", "max_memo": 32}})",
+           R"({"scenarios": [{"name": "t",
+                              "request": {"preset": "tiny", "backend": "fused"}}]})"}) {
+    try {
+      (void)scenario_file_from_json(Json::parse(text));
+      ADD_FAILURE() << "scenario with a backend key parsed: " << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("'backend'"), std::string::npos) << e.what();
+    }
+  }
+  const ScenarioFile file = scenario_file_from_json(Json::parse(
+      R"({"scenarios": [{"name": "t", "request": {"preset": "tiny"}}],
+          "server": {"max_memo": 32}})"));
+  EXPECT_EQ(file.base.server.engine.max_memo, 32u);
+}
+
 TEST(ProtocolSession, VersionMismatchRejected) {
   // First frame v1 (selects protocol mode), then a v2 frame and a frame
   // that lost its "v".
@@ -266,21 +303,17 @@ TEST(ProtocolSession, EvalBatchAnswersPerItemInOrder) {
   EXPECT_EQ(first, expected);
 }
 
-TEST(ProtocolSession, MetricsBackendsExperimentsMethods) {
+TEST(ProtocolSession, MetricsExperimentsMethods) {
   const std::vector<Json> frames = run_session(
       R"({"v":1,"id":"e","method":"eval","params":{"preset":"tiny"}})" "\n"
       R"({"v":1,"id":"m","method":"metrics"})" "\n"
-      R"({"v":1,"id":"b","method":"backends"})" "\n"
       R"({"v":1,"id":"x","method":"experiments"})" "\n");
-  ASSERT_EQ(frames.size(), 4u);
+  ASSERT_EQ(frames.size(), 3u);
   const Json* metrics = frame_with_id(frames, "m");
   ASSERT_NE(metrics, nullptr);
   ASSERT_TRUE(metrics->at("ok").as_bool());
   // The metrics method returns a full MetricsSnapshot export.
   EXPECT_NO_THROW((void)MetricsSnapshot::from_json(metrics->at("result")));
-  const Json* backends = frame_with_id(frames, "b");
-  ASSERT_TRUE(backends->at("ok").as_bool());
-  EXPECT_GE(backends->at("result").at("backends").size(), 2u);  // reference+fused
   const Json* experiments = frame_with_id(frames, "x");
   ASSERT_TRUE(experiments->at("ok").as_bool());
   EXPECT_GE(experiments->at("result").at("experiments").size(), 10u);
@@ -524,8 +557,6 @@ TEST(LoopbackTcp, EvalBatchAndTypedErrors) {
   }
   // Admin methods over the same pipelined connection.
   EXPECT_EQ(c.ping().at("protocol").as_int(), kProtocolVersion);
-  const std::vector<std::string> backends = c.backends();
-  EXPECT_GE(backends.size(), 2u);
   const MetricsSnapshot metrics = c.metrics();
   EXPECT_GE(metrics.completed_ok, 2u);
 }
@@ -718,7 +749,6 @@ TEST(Reconfigure, ParamsRoundTripAndStrictValidation) {
   ServerReconfig rc;
   rc.policy = SchedulePolicy::kLocality;
   rc.locality_window = 4;
-  rc.backend = "reference";
   rc.max_contexts = 2;
   rc.max_memo = 8;
   rc.memoize_results = false;
@@ -726,7 +756,6 @@ TEST(Reconfigure, ParamsRoundTripAndStrictValidation) {
   const ServerReconfig back = reconfig_from_params(reconfig_params(rc));
   EXPECT_EQ(back.policy, rc.policy);
   EXPECT_EQ(back.locality_window, rc.locality_window);
-  EXPECT_EQ(back.backend, rc.backend);
   EXPECT_EQ(back.max_contexts, rc.max_contexts);
   EXPECT_EQ(back.max_memo, rc.max_memo);
   EXPECT_EQ(back.memoize_results, rc.memoize_results);
@@ -774,7 +803,7 @@ TEST(Reconfigure, AppliesLiveOverTheWireAndResetsStats) {
   // An invalid change is refused with a typed validation error and leaves
   // the server serving.
   ServerReconfig bad;
-  bad.backend = "no_such_backend";
+  bad.locality_window = 0;
   try {
     (void)c.reconfigure(bad);
     FAIL() << "expected RpcError";

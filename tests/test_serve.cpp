@@ -965,8 +965,7 @@ void check_bench_serve_json(const api::Json& j) {
     EXPECT_TRUE(j.at("latency_ms").contains(key)) << key;
   }
   for (const char* key : {"context_hits", "context_misses", "context_hit_rate",
-                          "memo_hits", "memo_misses", "memo_evictions",
-                          "plan_hits", "plan_misses", "plan_entries"}) {
+                          "memo_hits", "memo_misses", "memo_evictions"}) {
     EXPECT_TRUE(j.at("server_metrics").at("cache").contains(key)) << key;
   }
   EXPECT_GT(j.at("achieved_qps").as_number(), 0.0);

@@ -6,9 +6,6 @@
 //   defa_cli run --all [--json FILE]      run everything
 //   defa_cli run ... --jobs N             fan experiments over the shared
 //                                         thread pool, N at a time
-//   defa_cli run ... --backend NAME       evaluate on a kernels backend
-//                                         (reference|fused|...; also the
-//                                         DEFA_BACKEND env var)
 //   defa_cli run ... --connect HOST:PORT  run the experiments in a remote
 //                                         defa_serve --listen process over
 //                                         Protocol v1 (tables stream back;
@@ -31,23 +28,22 @@
 #include "api/result_io.h"
 #include "client/client.h"
 #include "common/thread_pool.h"
-#include "kernels/backend.h"
 
 namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0 << " list\n"
             << "       " << argv0
-            << " run <name>... [--jobs N] [--backend NAME] [--json FILE]\n"
+            << " run <name>... [--jobs N] [--json FILE]\n"
             << "       " << argv0
-            << " run --all [--jobs N] [--backend NAME] [--json FILE]\n"
+            << " run --all [--jobs N] [--json FILE]\n"
             << "       " << argv0 << " run <name>... --connect HOST:PORT [--json FILE]\n"
             << "       " << argv0 << " validate FILE\n";
   return 2;
 }
 
 /// `run --connect`: every experiment executes inside the remote defa_serve
-/// process (its Engine, its backend); tables and JSON come back over the
+/// process (its Engine); tables and JSON come back over the
 /// wire and are presented exactly like a local run.
 int cmd_run_remote(const std::string& endpoint, std::vector<std::string> names,
                    bool all, const std::string& json_path) {
@@ -103,9 +99,7 @@ int cmd_run(const std::vector<std::string>& args) {
   std::vector<std::string> names;
   std::string json_path;
   std::string connect_endpoint;
-  defa::api::Engine::Options engine_options;
   bool all = false;
-  bool backend_flag_given = false;
   int jobs = 1;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--json") {
@@ -114,15 +108,6 @@ int cmd_run(const std::vector<std::string>& args) {
     } else if (args[i] == "--connect") {
       if (i + 1 >= args.size()) return usage("defa_cli");
       connect_endpoint = args[++i];
-    } else if (args[i] == "--backend") {
-      backend_flag_given = true;
-      if (i + 1 >= args.size()) return usage("defa_cli");
-      engine_options.backend = args[++i];
-      if (defa::kernels::find_backend(engine_options.backend) == nullptr) {
-        std::cerr << "unknown backend '" << engine_options.backend
-                  << "' (known: " << defa::kernels::known_backends() << ")\n";
-        return 2;
-      }
     } else if (args[i] == "--jobs") {
       if (i + 1 >= args.size()) return usage("defa_cli");
       jobs = std::stoi(args[++i]);
@@ -137,12 +122,12 @@ int cmd_run(const std::vector<std::string>& args) {
     }
   }
   if (!connect_endpoint.empty()) {
-    if (backend_flag_given || jobs > 1) {
-      // The server process owns its backend and its concurrency; silently
-      // ignoring these flags would run something the user didn't ask for.
+    if (jobs > 1) {
+      // The server process owns its concurrency; silently ignoring the
+      // flag would run something the user didn't ask for.
       std::cerr << "--connect runs experiments in the remote defa_serve "
-                   "process: --backend/--jobs configure the local run and "
-                   "cannot be combined with it\n";
+                   "process: --jobs configures the local run and cannot be "
+                   "combined with it\n";
       return 2;
     }
     return cmd_run_remote(connect_endpoint, names, all, json_path);
@@ -158,7 +143,7 @@ int cmd_run(const std::vector<std::string>& args) {
   // they fan out over the shared defa::ThreadPool, buffering tables so
   // output still appears in name order.  The Engine is shared either way,
   // so experiments touching the same benchmark reuse one context.
-  defa::api::Engine engine(engine_options);
+  defa::api::Engine engine;
   defa::api::Json combined = defa::api::Json::object();
   int failures = 0;
   if (jobs > 1) {

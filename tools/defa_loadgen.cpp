@@ -6,7 +6,7 @@
 //                [--mix smoke|default] [--workers N] [--queue-capacity N]
 //                [--policy fifo|locality] [--locality-window N]
 //                [--max-contexts N] [--max-memo N] [--no-memo]
-//                [--backend NAME] [--out FILE] [--smoke] [--quiet]
+//                [--out FILE] [--smoke] [--quiet]
 //                [--trace-sample N] [--trace-out FILE]
 //                [--wire auto|v1|v2] [--pipeline N]
 //
@@ -35,7 +35,7 @@
 // process over TCP through defa::client::Client instead: same schedules,
 // same report schema, bit-identical results, latencies now including the
 // wire — the in-process vs cross-process comparison in one tool.  The
-// server flags (--workers, --policy, ..., --backend) configure the
+// server flags (--workers, --policy, ..., --no-memo) configure the
 // in-process server and are rejected with --connect (the remote process
 // owns its configuration); a scenario file's "server" block is ignored
 // with --connect for the same reason.
@@ -66,7 +66,6 @@
 #include "api/result_io.h"
 #include "client/client.h"
 #include "client/remote_loadgen.h"
-#include "kernels/backend.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "serve/scenario.h"
@@ -83,7 +82,7 @@ int usage() {
       << "                    [--mix smoke|default] [--workers N] [--queue-capacity N]\n"
       << "                    [--policy fifo|locality] [--locality-window N]\n"
       << "                    [--max-contexts N] [--max-memo N] [--no-memo]\n"
-      << "                    [--backend NAME] [--out FILE] [--smoke] [--quiet]\n"
+      << "                    [--out FILE] [--smoke] [--quiet]\n"
       << "                    [--trace-sample N] [--trace-out FILE]\n"
       << "                    [--wire auto|v1|v2] [--pipeline N]\n";
   return 2;
@@ -239,15 +238,6 @@ int main(int argc, char** argv) try {
     } else if (arg == "--no-memo") {
       server_flag_given = true;
       options.server.engine.memoize_results = false;
-    } else if (arg == "--backend") {
-      server_flag_given = true;
-      if ((v = value()) == nullptr) return usage();
-      if (defa::kernels::find_backend(v) == nullptr) {
-        std::cerr << "unknown backend '" << v
-                  << "' (known: " << defa::kernels::known_backends() << ")\n";
-        return 2;
-      }
-      options.server.engine.backend = v;
     } else if (arg == "--wire") {
       wire_flag_given = true;
       if ((v = value()) == nullptr) return usage();
@@ -318,7 +308,7 @@ int main(int argc, char** argv) try {
     // them would benchmark a configuration the user didn't ask for.
     std::cerr << "--connect drives a remote defa_serve: server flags "
                  "(--workers/--queue-capacity/--policy/--locality-window/"
-                 "--max-contexts/--max-memo/--no-memo/--backend) configure "
+                 "--max-contexts/--max-memo/--no-memo) configure "
                  "the in-process server and cannot be combined with it\n";
     return 2;
   }

@@ -3,7 +3,7 @@
 //   defa_serve [--in FILE] [--out FILE] [--listen PORT] [--port-file FILE]
 //              [--workers N] [--queue-capacity N] [--policy fifo|locality]
 //              [--locality-window N] [--max-contexts N] [--max-memo N]
-//              [--no-memo] [--backend NAME] [--metrics]
+//              [--no-memo] [--metrics]
 //              [--metrics-interval SEC] [--metrics-out FILE]
 //              [--trace] [--trace-sample N] [--trace-out FILE]
 //              [--shard-id N] [--shard-count N] [--shard-name NAME]
@@ -26,7 +26,7 @@
 // (docs/PROTOCOL.md):
 //   * Protocol v1 — {"v":1,"id":...,"method":...,"params":...} envelopes,
 //     completion-order responses, typed error codes, and the
-//     eval/eval_batch/metrics/backends/experiments/experiment/ping/drain
+//     eval/eval_batch/metrics/experiments/experiment/ping/drain
 //     methods.  defa::client::Client speaks this.
 //   * Protocol v2 — negotiated per session via the v1 `hello` method:
 //     length-prefixed binary frames with streamed eval_batch chunks.
@@ -57,7 +57,6 @@
 #include <thread>
 #include <vector>
 
-#include "kernels/backend.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -74,7 +73,7 @@ int usage() {
             << "                  [--port-file FILE] [--workers N]\n"
             << "                  [--queue-capacity N] [--policy fifo|locality]\n"
             << "                  [--locality-window N] [--max-contexts N]\n"
-            << "                  [--max-memo N] [--no-memo] [--backend NAME]\n"
+            << "                  [--max-memo N] [--no-memo]\n"
             << "                  [--metrics] [--metrics-interval SEC]\n"
             << "                  [--metrics-out FILE] [--trace]\n"
             << "                  [--trace-sample N] [--trace-out FILE]\n"
@@ -260,15 +259,6 @@ int main(int argc, char** argv) try {
       options.server.engine.max_memo = static_cast<std::size_t>(std::stoul(v));
     } else if (arg == "--no-memo") {
       options.server.engine.memoize_results = false;
-    } else if (arg == "--backend") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      if (defa::kernels::find_backend(v) == nullptr) {
-        std::cerr << "unknown backend '" << v
-                  << "' (known: " << defa::kernels::known_backends() << ")\n";
-        return 2;
-      }
-      options.server.engine.backend = v;
     } else if (arg == "--shard-id") {
       const char* v = value();
       if (v == nullptr) return usage();
