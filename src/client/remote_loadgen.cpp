@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/check.h"
 #include "serve/wire/stats.h"
 
 namespace defa::client {
@@ -28,9 +27,6 @@ serve::LoadReport run_remote_loadgen(const serve::LoadGenOptions& options,
     return m;
   };
   target.transport = client.transport_name();
-  // The dispatch policy lives in the server process; ask it.
-  const api::Json info = client.ping();
-  target.policy = info.at("server").at("policy").as_string();
   // Serialization accounting (docs/BENCH_SCHEMA.md#serialization): diff
   // the client-side SerStats and the server's exported wire counters
   // around the run, so the report attributes only this run's traffic.
@@ -54,55 +50,20 @@ serve::LoadReport run_remote_loadgen(const serve::LoadGenOptions& options,
 
 serve::SweepReport run_remote_sweep(const serve::ScenarioFile& file,
                                     Client& client) {
-  DEFA_CHECK(file.has_sweep, "scenario: file has no 'sweep' block");
-  // One reconfigure per point: the point's policy plus the reconfigurable
-  // subset of the file's server block (locality window, cache bounds,
-  // memoization), then reset stats + caches — which is what the
-  // in-process sweep gets from constructing a fresh Server per point.
-  // Workers and queue capacity are process-construction settings and stay
-  // whatever the remote server was launched with.
-  const auto apply_point = [&](serve::SchedulePolicy policy) {
+  // One reconfigure per point: the reconfigurable subset of the file's
+  // server block (cache bounds, memoization), then reset stats + caches —
+  // which is what the in-process sweep gets from constructing a fresh
+  // Server per point.  Workers and queue capacity are process-construction
+  // settings and stay whatever the remote server was launched with.
+  return serve::run_sweep(file, [&](const serve::LoadGenOptions& options) {
     serve::ServerReconfig rc;
-    rc.policy = policy;
-    rc.locality_window = file.base.server.locality_window;
     rc.max_contexts = file.base.server.engine.max_contexts;
     rc.max_memo = file.base.server.engine.max_memo;
     rc.memoize_results = file.base.server.engine.memoize_results;
     rc.reset_stats = true;
     (void)client.reconfigure(rc);
-  };
-  serve::SweepReport report;
-  report.name = file.name;
-  report.requests = file.base.requests;
-  for (const double rate : file.sweep.rates_qps) {
-    for (const serve::SchedulePolicy policy : file.sweep.policies) {
-      serve::LoadGenOptions options = file.base;
-      options.mode = serve::LoadGenOptions::Mode::kOpen;
-      options.rate_qps = rate;
-      apply_point(policy);
-      serve::SweepPoint pt;
-      pt.mode = "open";
-      pt.rate_qps = rate;
-      pt.policy = policy;
-      pt.report = run_remote_loadgen(options, client);
-      report.points.push_back(std::move(pt));
-    }
-  }
-  for (const int concurrency : file.sweep.concurrencies) {
-    for (const serve::SchedulePolicy policy : file.sweep.policies) {
-      serve::LoadGenOptions options = file.base;
-      options.mode = serve::LoadGenOptions::Mode::kClosed;
-      options.concurrency = concurrency;
-      apply_point(policy);
-      serve::SweepPoint pt;
-      pt.mode = "closed";
-      pt.concurrency = concurrency;
-      pt.policy = policy;
-      pt.report = run_remote_loadgen(options, client);
-      report.points.push_back(std::move(pt));
-    }
-  }
-  return report;
+    return run_remote_loadgen(options, client);
+  });
 }
 
 }  // namespace defa::client

@@ -16,19 +16,18 @@ namespace defa::client {
 
 /// Run the configured traffic against `client`'s server.  Ignores
 /// `options.server` (the remote process owns its configuration; the
-/// report's `policy` and `server_metrics` are fetched over the wire via
-/// `ping`/`metrics`).  Latencies are client-observed round trips.
+/// report's `server_metrics` are fetched over the wire via `metrics`).
+/// Latencies are client-observed round trips.
 [[nodiscard]] serve::LoadReport run_remote_loadgen(
     const serve::LoadGenOptions& options, Client& client);
 
 /// Remote flavor of `serve::run_sweep` (`defa_loadgen --connect --sweep`):
-/// the same rate x policy / concurrency x policy grid and report schema,
-/// but each point is applied to the *remote* server via the protocol
-/// `reconfigure` method (policy switch + `reset_stats`, which clears the
-/// engine caches and metrics) instead of constructing a fresh in-process
-/// Server — so the per-point cold-cache semantics match.  Requires
-/// `file.has_sweep`; throws RpcError when the server refuses a point's
-/// configuration.
+/// the same points and report schema, but each point is applied to the
+/// *remote* server via the protocol `reconfigure` method (cache bounds +
+/// `reset_stats`, which clears the engine caches and metrics) instead of
+/// constructing a fresh in-process Server — so the per-point cold-cache
+/// semantics match.  Requires `file.has_sweep`; throws RpcError when the
+/// server refuses a point's configuration.
 [[nodiscard]] serve::SweepReport run_remote_sweep(const serve::ScenarioFile& file,
                                                   Client& client);
 

@@ -94,8 +94,6 @@ std::vector<std::string> shard_argv(const std::string& serve_bin,
       "--shard-name", "shard" + std::to_string(shard_id),
       "--virtual-nodes", std::to_string(config.virtual_nodes),
       "--queue-capacity", std::to_string(so.queue_capacity),
-      "--policy", serve::policy_name(so.policy),
-      "--locality-window", std::to_string(so.locality_window),
       "--max-contexts", std::to_string(so.engine.max_contexts),
       "--max-memo", std::to_string(so.engine.max_memo),
   };
@@ -323,7 +321,6 @@ FleetRunReport run_one(const FleetConfig& config, int shard_count,
 
     serve::LoadTarget target;
     target.transport = "fleet";
-    target.policy = serve::policy_name(config.load.server.policy);
     target.submit = [&](serve::ServeRequest req) {
       const std::uint64_t n = submitted.fetch_add(1) + 1;
       if (chaos.enabled && n == trigger_at && !chaos_fired.exchange(true)) {
@@ -531,7 +528,6 @@ api::Json FleetReport::to_json() const {
   api::Json j = api::Json::object();
   j["bench"] = "fleet";
   api::Json meta = api::run_metadata();
-  meta["policy"] = runs.empty() ? std::string() : runs.front().load.policy;
   meta["shards"] = runs.empty() ? 0 : runs.front().shard_count;
   j["meta"] = std::move(meta);
   j["name"] = name;
@@ -585,7 +581,7 @@ api::Json FleetReport::to_json() const {
 
 std::string FleetReport::to_csv() const {
   std::ostringstream csv;
-  csv << "shard_count,policy,requests,completed_ok,errors,failovers,"
+  csv << "shard_count,requests,completed_ok,errors,failovers,"
          "achieved_qps,p50_ms,p95_ms,p99_ms,p999_ms,context_hit_rate,"
          "memo_hit_rate,chaos_mode,chaos_lost\n";
   for (const FleetRunReport& run : runs) {
@@ -595,8 +591,7 @@ std::string FleetReport::to_csv() const {
         memo_total == 0
             ? 0.0
             : static_cast<double>(m.memo_hits) / static_cast<double>(memo_total);
-    csv << run.shard_count << ',' << run.load.policy << ','
-        << run.load.requests << ',' << run.load.completed_ok << ','
+    csv << run.shard_count << ',' << run.load.requests << ',' << run.load.completed_ok << ','
         << run.load.errors << ',' << run.failovers << ','
         << run.load.achieved_qps << ',' << run.load.latency_ms.percentile(50)
         << ',' << run.load.latency_ms.percentile(95) << ','

@@ -107,11 +107,9 @@ api::Json LoadReport::to_json() const {
   api::Json j = api::Json::object();
   j["bench"] = "serve";
   api::Json meta = api::run_metadata();
-  meta["policy"] = policy;
   meta["transport"] = transport;
   j["meta"] = std::move(meta);
   j["mode"] = mode;
-  j["policy"] = policy;
   j["transport"] = transport;
   j["requests"] = requests;
   j["concurrency"] = concurrency;
@@ -173,7 +171,6 @@ LoadReport run_loadgen(const LoadGenOptions& options) {
     return server.metrics();
   };
   target.transport = "inproc";
-  target.policy = policy_name(options.server.policy);
   return run_loadgen_against(options, target);
 }
 
@@ -189,7 +186,6 @@ LoadReport run_loadgen_against(const LoadGenOptions& options,
 
   LoadReport report;
   report.mode = options.mode == LoadGenOptions::Mode::kClosed ? "closed" : "open";
-  report.policy = target.policy;
   report.transport = target.transport;
   report.requests = options.requests;
   report.concurrency =

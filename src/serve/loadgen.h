@@ -64,8 +64,7 @@ struct LoadGenOptions {
 [[nodiscard]] std::vector<Scenario> default_mix();
 
 struct LoadReport {
-  std::string mode;    ///< "closed" | "open"
-  std::string policy;  ///< "fifo" | "locality" (the server's dispatch policy)
+  std::string mode;  ///< "closed" | "open"
   /// How requests reached the scheduler: "inproc" (same-process Server),
   /// or the client transport ("tcp" | "stdio") for `--connect` runs.
   std::string transport = "inproc";
@@ -120,7 +119,6 @@ struct LoadTarget {
   /// resolved (the in-process wrapper drains first).
   std::function<MetricsSnapshot()> metrics;
   std::string transport = "inproc";  ///< stamped into LoadReport::transport
-  std::string policy;                ///< the *server's* dispatch policy name
 };
 
 /// Drive an arbitrary target with the configured traffic.  Ignores

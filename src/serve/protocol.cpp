@@ -201,16 +201,7 @@ ServerReconfig reconfig_from_params(const api::Json& params) {
              "protocol: reconfigure params must be a non-empty object");
   ServerReconfig rc;
   for (const auto& [key, value] : params.members()) {
-    if (key == "policy") {
-      const std::optional<SchedulePolicy> p = policy_from_name(value.as_string());
-      DEFA_CHECK(p.has_value(), "protocol: unknown policy '" + value.as_string() +
-                                    "' (fifo|locality)");
-      rc.policy = *p;
-    } else if (key == "locality_window") {
-      const int w = value.as_int32();
-      DEFA_CHECK(w >= 1, "protocol: 'locality_window' must be >= 1");
-      rc.locality_window = w;
-    } else if (key == "max_contexts") {
+    if (key == "max_contexts") {
       const std::int64_t n = value.as_int();
       DEFA_CHECK(n >= 0, "protocol: 'max_contexts' must be >= 0");
       rc.max_contexts = static_cast<std::size_t>(n);
@@ -231,8 +222,6 @@ ServerReconfig reconfig_from_params(const api::Json& params) {
 
 api::Json reconfig_params(const ServerReconfig& rc) {
   api::Json j = api::Json::object();
-  if (rc.policy.has_value()) j["policy"] = policy_name(*rc.policy);
-  if (rc.locality_window.has_value()) j["locality_window"] = *rc.locality_window;
   if (rc.max_contexts.has_value()) {
     j["max_contexts"] = static_cast<double>(*rc.max_contexts);
   }
@@ -462,13 +451,14 @@ void handle_eval_batch(const std::string& id, const api::Json& params,
 api::Json server_info(Server& server) {
   const ServerOptions opts = server.options_snapshot();
   api::Json info = api::Json::object();
-  info["policy"] = policy_name(opts.policy);
+  // The dispatch rule and its fairness budget; reported, not settable.
+  info["policy"] = "locality";
   info["workers"] = opts.max_concurrency;
   info["queue_capacity"] = static_cast<double>(opts.queue_capacity);
   // The MSGS kernel every request runs; reported, not settable.
   info["backend"] = kernels::production().name();
   info["draining"] = server.draining();
-  info["locality_window"] = opts.locality_window;
+  info["locality_window"] = Server::kLocalityWindow;
   info["max_contexts"] = static_cast<double>(opts.engine.max_contexts);
   info["max_memo"] = static_cast<double>(opts.engine.max_memo);
   info["memoize_results"] = opts.engine.memoize_results;

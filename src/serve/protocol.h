@@ -112,11 +112,11 @@ enum class ErrorCode {
 /// returned request is validated.  Throws defa::CheckError.
 [[nodiscard]] ServeRequest eval_request_from_params(const api::Json& params);
 
-/// Parse the `reconfigure` params (`{"policy", "locality_window",
-/// "max_contexts", "max_memo", "memoize_results", "reset_stats"}`, all
-/// optional but at least one required).  Strict: unknown keys (among
-/// them the retired `backend`), unknown policy names and out-of-range values
-/// throw defa::CheckError.  The inverse, `reconfig_params`, builds the
+/// Parse the `reconfigure` params (`{"max_contexts", "max_memo",
+/// "memoize_results", "reset_stats"}`, all optional but at least one
+/// required).  Strict: unknown keys (among them the retired `backend`
+/// and dispatch-policy keys) and out-of-range values throw
+/// defa::CheckError.  The inverse, `reconfig_params`, builds the
 /// params frame a client sends (unset fields omitted).
 [[nodiscard]] ServerReconfig reconfig_from_params(const api::Json& params);
 [[nodiscard]] api::Json reconfig_params(const ServerReconfig& rc);

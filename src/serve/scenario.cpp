@@ -53,9 +53,8 @@ void parse_arrival(const api::Json& j, LoadGenOptions& out) {
 void parse_server(const api::Json& j, ServerOptions& out) {
   DEFA_CHECK(j.is_object(), "scenario: 'server' must be an object");
   check_keys(j,
-             {"workers", "queue_capacity", "policy", "locality_window",
-              "max_contexts", "max_memo", "memoize_results",
-              "max_parallel_requests"},
+             {"workers", "queue_capacity", "max_contexts", "max_memo",
+              "memoize_results", "max_parallel_requests"},
              "'server'");
   if (const api::Json* v = j.find("workers")) {
     out.max_concurrency = v->as_int32();
@@ -64,17 +63,6 @@ void parse_server(const api::Json& j, ServerOptions& out) {
     const std::int64_t cap = v->as_int();
     DEFA_CHECK(cap > 0, "scenario: 'queue_capacity' must be positive");
     out.queue_capacity = static_cast<std::size_t>(cap);
-  }
-  if (const api::Json* v = j.find("policy")) {
-    const std::optional<SchedulePolicy> p = policy_from_name(v->as_string());
-    DEFA_CHECK(p.has_value(), "scenario: unknown policy '" + v->as_string() +
-                                  "' (fifo|locality)");
-    out.policy = *p;
-  }
-  if (const api::Json* v = j.find("locality_window")) {
-    out.locality_window = v->as_int32();
-    DEFA_CHECK(out.locality_window >= 1,
-               "scenario: 'locality_window' must be >= 1");
   }
   if (const api::Json* v = j.find("max_contexts")) {
     const std::int64_t n = v->as_int();
@@ -128,7 +116,7 @@ std::vector<Scenario> parse_mix(const api::Json& j) {
 
 SweepSpec parse_sweep(const api::Json& j) {
   DEFA_CHECK(j.is_object(), "scenario: 'sweep' must be an object");
-  check_keys(j, {"rates_qps", "concurrency", "policies"}, "'sweep'");
+  check_keys(j, {"rates_qps", "concurrency"}, "'sweep'");
   SweepSpec sweep;
   if (const api::Json* rates = j.find("rates_qps")) {
     DEFA_CHECK(rates->is_array() && rates->size() > 0,
@@ -152,18 +140,6 @@ SweepSpec parse_sweep(const api::Json& j) {
   DEFA_CHECK(!sweep.rates_qps.empty() || !sweep.concurrencies.empty(),
              "scenario: 'sweep' needs 'rates_qps' (open loop) and/or "
              "'concurrency' (closed loop)");
-  if (const api::Json* pols = j.find("policies")) {
-    DEFA_CHECK(pols->is_array() && pols->size() > 0,
-               "scenario: 'sweep.policies' must be a non-empty array");
-    for (const api::Json& p : pols->items()) {
-      const std::optional<SchedulePolicy> pol = policy_from_name(p.as_string());
-      DEFA_CHECK(pol.has_value(), "scenario: unknown sweep policy '" +
-                                      p.as_string() + "' (fifo|locality)");
-      sweep.policies.push_back(*pol);
-    }
-  } else {
-    sweep.policies = {SchedulePolicy::kFifo, SchedulePolicy::kLocality};
-  }
   return sweep;
 }
 
@@ -217,14 +193,13 @@ api::Json SweepReport::to_json() const {
   j["meta"] = api::run_metadata();
   j["name"] = name;
   j["requests"] = requests;
-  // Compact curve rows first: one per (rate, policy), everything a plot
+  // Compact curve rows first: one per point, everything a plot
   // needs without digging through the full reports.
   api::Json curve = api::Json::array();
   for (const SweepPoint& pt : points) {
     const MetricsSnapshot& m = pt.report.server_metrics;
     api::Json row = api::Json::object();
     row["rate_qps"] = pt.rate_qps;
-    row["policy"] = policy_name(pt.policy);
     row["mode"] = pt.mode;
     row["concurrency"] = pt.concurrency;
     row["achieved_qps"] = pt.report.achieved_qps;
@@ -252,14 +227,13 @@ api::Json SweepReport::to_json() const {
 
 std::string SweepReport::to_csv() const {
   std::ostringstream csv;
-  csv << "rate_qps,policy,mode,concurrency,achieved_qps,completed_ok,"
+  csv << "rate_qps,mode,concurrency,achieved_qps,completed_ok,"
          "rejected_overload,rejected_deadline,errors,p50_ms,p95_ms,p99_ms,"
          "p999_ms,queue_p50_ms,context_hit_rate,context_hits,context_misses,"
          "context_evictions\n";
   for (const SweepPoint& pt : points) {
     const MetricsSnapshot& m = pt.report.server_metrics;
-    csv << pt.rate_qps << ',' << policy_name(pt.policy) << ',' << pt.mode << ','
-        << pt.concurrency << ','
+    csv << pt.rate_qps << ',' << pt.mode << ',' << pt.concurrency << ','
         << pt.report.achieved_qps << ',' << pt.report.completed_ok << ','
         << pt.report.rejected_overload << ',' << pt.report.rejected_deadline << ','
         << pt.report.errors << ',' << pt.report.latency_ms.percentile(50) << ','
@@ -273,40 +247,32 @@ std::string SweepReport::to_csv() const {
   return csv.str();
 }
 
-SweepReport run_sweep(const ScenarioFile& file) {
+SweepReport run_sweep(const ScenarioFile& file, const SweepPointRunner& run_point) {
   DEFA_CHECK(file.has_sweep, "scenario: file has no 'sweep' block");
   SweepReport report;
   report.name = file.name;
   report.requests = file.base.requests;
   for (const double rate : file.sweep.rates_qps) {
-    for (const SchedulePolicy policy : file.sweep.policies) {
-      LoadGenOptions options = file.base;  // same mix, schedule and seed
-      // Open loop per rate point (a closed-loop arrival spec was rejected
-      // at parse time); the file's fixed/poisson choice is preserved.
-      options.mode = LoadGenOptions::Mode::kOpen;
-      options.rate_qps = rate;
-      options.server.policy = policy;
-      SweepPoint pt;
-      pt.mode = "open";
-      pt.rate_qps = rate;
-      pt.policy = policy;
-      pt.report = run_loadgen(options);
-      report.points.push_back(std::move(pt));
-    }
+    LoadGenOptions options = file.base;  // same mix, schedule and seed
+    // Open loop per rate point (a closed-loop arrival spec was rejected
+    // at parse time); the file's fixed/poisson choice is preserved.
+    options.mode = LoadGenOptions::Mode::kOpen;
+    options.rate_qps = rate;
+    SweepPoint pt;
+    pt.mode = "open";
+    pt.rate_qps = rate;
+    pt.report = run_point(options);
+    report.points.push_back(std::move(pt));
   }
   for (const int concurrency : file.sweep.concurrencies) {
-    for (const SchedulePolicy policy : file.sweep.policies) {
-      LoadGenOptions options = file.base;
-      options.mode = LoadGenOptions::Mode::kClosed;
-      options.concurrency = concurrency;
-      options.server.policy = policy;
-      SweepPoint pt;
-      pt.mode = "closed";
-      pt.concurrency = concurrency;
-      pt.policy = policy;
-      pt.report = run_loadgen(options);
-      report.points.push_back(std::move(pt));
-    }
+    LoadGenOptions options = file.base;
+    options.mode = LoadGenOptions::Mode::kClosed;
+    options.concurrency = concurrency;
+    SweepPoint pt;
+    pt.mode = "closed";
+    pt.concurrency = concurrency;
+    pt.report = run_point(options);
+    report.points.push_back(std::move(pt));
   }
   return report;
 }

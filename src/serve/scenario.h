@@ -22,13 +22,11 @@
 ///     },
 ///     "server": {                        // all optional
 ///       "workers": 0, "queue_capacity": 1024,
-///       "policy": "locality", "locality_window": 8,
 ///       "max_contexts": 2, "max_memo": 64, "memoize_results": false
 ///     },
 ///     "sweep": {                         // optional: --sweep runs these
 ///       "rates_qps": [100, 200, 400],    //   open-loop points
-///       "concurrency": [1, 4, 16],       //   closed-loop points
-///       "policies": ["fifo", "locality"] // default: both
+///       "concurrency": [1, 4, 16]        //   closed-loop points
 ///     },                                 // >= 1 of rates_qps/concurrency
 ///     "scenarios": [                     // >= 1 weighted mix entries
 ///       {"name": "tiny_defa", "weight": 4, "priority": "normal",
@@ -36,6 +34,7 @@
 ///     ]
 ///   }
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,13 +43,12 @@
 namespace defa::serve {
 
 /// Load-sweep description.  Every configured open-loop rate and every
-/// configured closed-loop concurrency is driven once per policy,
-/// producing one latency-vs-load curve per policy over identical request
-/// schedules.  At least one of the two axes must be non-empty.
+/// configured closed-loop concurrency is driven once, producing one
+/// latency-vs-load curve over identical request schedules.  At least one
+/// of the two axes must be non-empty.
 struct SweepSpec {
   std::vector<double> rates_qps;   ///< open-loop points
   std::vector<int> concurrencies;  ///< closed-loop points ("concurrency" key)
-  std::vector<SchedulePolicy> policies;  ///< default {kFifo, kLocality}
 };
 
 /// A parsed scenario file: the base LoadGenOptions (single-run settings)
@@ -64,20 +62,19 @@ struct ScenarioFile {
 
 /// Strict parse of the scenario-file format above.  Throws
 /// defa::CheckError on unknown keys, an empty mix, non-positive or
-/// non-finite weights, duplicate scenario names, unknown
-/// priority/policy/process names, or malformed embedded requests.
+/// non-finite weights, duplicate scenario names, unknown priority/process
+/// names, or malformed embedded requests.
 [[nodiscard]] ScenarioFile scenario_file_from_json(const api::Json& j);
 
 /// Read + parse a scenario file from disk.
 [[nodiscard]] ScenarioFile load_scenario_file(const std::string& path);
 
-/// One sweep measurement: `run_loadgen` at an open-loop (rate, policy)
-/// or closed-loop (concurrency, policy) point.
+/// One sweep measurement: a load run at an open-loop rate or a
+/// closed-loop concurrency point.
 struct SweepPoint {
   std::string mode = "open";  ///< "open" | "closed"
   double rate_qps = 0;        ///< open points; 0 for closed points
   int concurrency = 0;        ///< closed points; 0 for open points
-  SchedulePolicy policy = SchedulePolicy::kFifo;
   LoadReport report;
 };
 
@@ -85,8 +82,7 @@ struct SweepPoint {
 struct SweepReport {
   std::string name;
   int requests = 0;
-  /// Open-loop rate points first (rate-major, policy-minor), then
-  /// closed-loop concurrency points (concurrency-major, policy-minor).
+  /// Open-loop rate points first, then closed-loop concurrency points.
   std::vector<SweepPoint> points;
 
   /// {"bench": "serve_sweep", "curve": [per-point summary rows with
@@ -94,15 +90,21 @@ struct SweepReport {
   ///  [full LoadReport objects]} — see docs/BENCH_SCHEMA.md.
   [[nodiscard]] api::Json to_json() const;
 
-  /// The curve as CSV (header + one row per rate x policy point, same
+  /// The curve as CSV (header + one row per point, same
   /// columns as the JSON "curve" rows) — the plot-ready sidecar
   /// `defa_loadgen --sweep --out` writes next to the JSON report.
   [[nodiscard]] std::string to_csv() const;
 };
 
-/// Run the sweep: every configured arrival rate under every configured
-/// policy, identical request schedule per (rate, policy) pair so the
-/// policies are directly comparable.  Requires `file.has_sweep`.
-[[nodiscard]] SweepReport run_sweep(const ScenarioFile& file);
+/// How one sweep point runs: its LoadGenOptions in, its report out.
+using SweepPointRunner = std::function<LoadReport(const LoadGenOptions&)>;
+
+/// Run the sweep: every configured arrival rate, then every configured
+/// concurrency, each point on the file's identical request schedule.
+/// `run_point` defaults to `run_loadgen`, a fresh in-process Server per
+/// point; `client::run_remote_sweep` passes a runner that resets a remote
+/// server instead.  Requires `file.has_sweep`.
+[[nodiscard]] SweepReport run_sweep(const ScenarioFile& file,
+                                    const SweepPointRunner& run_point = run_loadgen);
 
 }  // namespace defa::serve

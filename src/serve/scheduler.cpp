@@ -42,20 +42,6 @@ std::optional<Priority> priority_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-const char* policy_name(SchedulePolicy p) {
-  switch (p) {
-    case SchedulePolicy::kFifo: return "fifo";
-    case SchedulePolicy::kLocality: return "locality";
-  }
-  return "fifo";
-}
-
-std::optional<SchedulePolicy> policy_from_name(const std::string& name) {
-  if (name == "fifo") return SchedulePolicy::kFifo;
-  if (name == "locality") return SchedulePolicy::kLocality;
-  return std::nullopt;
-}
-
 const char* status_name(ResponseStatus s) {
   switch (s) {
     case ResponseStatus::kOk: return "ok";
@@ -79,7 +65,6 @@ Priority Server::dispatch_slot(std::uint64_t slot) {
 Server::Server(ServerOptions options)
     : options_(options), engine_(options.engine), paused_(options.start_paused) {
   DEFA_CHECK(options_.queue_capacity > 0, "Server: queue_capacity must be positive");
-  DEFA_CHECK(options_.locality_window >= 1, "Server: locality_window must be >= 1");
   if (options_.max_concurrency <= 0) {
     options_.max_concurrency = ThreadPool::global().size();
   }
@@ -143,26 +128,15 @@ std::future<ServeResponse> Server::submit_impl(ServeRequest req,
     return future;
   }
 
-  // The affinity identity is the Engine's context-cache key.  Only the
-  // locality policy reads it, so FIFO admission skips the resolve cost.
-  // A request malformed enough that its key cannot be resolved still gets
-  // queued (the error surfaces from Engine::run with a proper response);
-  // it just joins the empty-key affinity class.  The policy is snapshotted
-  // under mu_ (reconfigure can flip it concurrently); a request admitted
-  // across the flip at worst carries a stale key and joins the empty-key
-  // affinity class — never a wrong result, dispatch stays correct.
-  SchedulePolicy policy;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    policy = options_.policy;
-  }
+  // The affinity identity is the Engine's context-cache key, resolved
+  // outside mu_.  A request malformed enough that its key cannot be
+  // resolved still gets queued (the error surfaces from Engine::run with a
+  // proper response); it just joins the empty-key affinity class.
   std::string key;
-  if (policy == SchedulePolicy::kLocality) {
-    try {
-      key = req.request.workload_key();
-    } catch (const std::exception&) {
-      key.clear();
-    }
+  try {
+    key = req.request.workload_key();
+  } catch (const std::exception&) {
+    // Leaves `key` empty.
   }
 
   bool spawn = false;
@@ -232,34 +206,22 @@ bool Server::pop_best_locked(Entry& out) {
     std::deque<Entry>& q = queues_[p];
     if (q.empty()) continue;
 
-    // kFifo: oldest request in the selected class.  kLocality: keep the
-    // active workload key's window going while its fairness budget lasts;
-    // once the budget is spent, the oldest *different*-key request runs
-    // (so a same-key flood cannot starve minority keys).  Affinity only
-    // reorders within the class the priority pattern already selected.
+    // Keep the active workload key's window going while its fairness
+    // budget lasts; once the budget is spent, the oldest *different*-key
+    // request runs (so a same-key flood cannot starve minority keys).
+    // With no match either way the oldest entry runs: it opens a fresh
+    // window, or continues the only key queued.  Affinity only reorders
+    // within the class the priority pattern already selected.
+    const bool same_key = affinity_run_ < kLocalityWindow;
     std::size_t pick = 0;
-    if (options_.policy == SchedulePolicy::kLocality) {
-      if (affinity_run_ < options_.locality_window) {
-        for (std::size_t i = 0; i < q.size(); ++i) {
-          if (q[i].key == affinity_key_) {
-            pick = i;
-            break;
-          }
-        }
-        // No queued request shares the active key: fall through to the
-        // oldest entry, which opens a fresh affinity window.
-      } else {
-        for (std::size_t i = 0; i < q.size(); ++i) {
-          if (q[i].key != affinity_key_) {
-            pick = i;
-            break;
-          }
-        }
-        // Only the active key is queued: its window simply continues.
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      if ((q[i].key == affinity_key_) == same_key) {
+        pick = i;
+        break;
       }
     }
 
-    out = std::move(q[static_cast<std::size_t>(pick)]);
+    out = std::move(q[pick]);
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
     --queued_total_;
     out.dispatch_index = popped_seq_++;
@@ -384,12 +346,6 @@ bool Server::draining() const {
 }
 
 void Server::reconfigure(const ServerReconfig& rc) {
-  // Validate before mutating anything, so a bad reconfigure leaves the
-  // server exactly as it was.
-  if (rc.locality_window.has_value()) {
-    DEFA_CHECK(*rc.locality_window >= 1,
-               "Server::reconfigure: locality_window must be >= 1");
-  }
   // The Engine applies its own fields under its locks (evicting caches
   // down to new bounds as needed).
   api::Engine::Reconfig er;
@@ -398,19 +354,13 @@ void Server::reconfigure(const ServerReconfig& rc) {
   er.memoize_results = rc.memoize_results;
   engine_.reconfigure(er);
   {
-    // Scheduler fields flip under mu_: every pop_best_locked sees either
-    // the old configuration or the new one, never a mix.
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (rc.policy.has_value()) options_.policy = *rc.policy;
-    if (rc.locality_window.has_value()) options_.locality_window = *rc.locality_window;
     // Mirror the engine fields so options()/ping stay truthful.
+    const std::lock_guard<std::mutex> lock(mu_);
     if (rc.max_contexts.has_value()) options_.engine.max_contexts = *rc.max_contexts;
     if (rc.max_memo.has_value()) options_.engine.max_memo = *rc.max_memo;
     if (rc.memoize_results.has_value()) {
       options_.engine.memoize_results = *rc.memoize_results;
     }
-    affinity_key_.clear();
-    affinity_run_ = 0;
   }
   if (rc.reset_stats) {
     engine_.clear_caches();

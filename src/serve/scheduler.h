@@ -19,19 +19,18 @@
 ///    (`dispatch_slot`), so under a sustained flood of high-priority
 ///    traffic a low-priority request still reaches the engine within
 ///    `kDispatchPatternLen` dispatches.
-///  * **Cache locality (optional)** — under `SchedulePolicy::kLocality`
-///    the scheduler keeps draining requests that share the Engine workload
-///    key of the most recent dispatch (QUILL-style affinity batching), so
-///    same-workload requests hit the Engine's ContextPool warm.  A
-///    fairness budget (`locality_window`) bounds each key's run: after
-///    `locality_window` consecutive same-key dispatches the oldest
-///    *different*-key request is dispatched, so no key is starved.
-///    Affinity reorders only *within* the priority class the weighted
-///    pattern selected — priorities and deadlines behave exactly as under
-///    kFifo.
+///  * **Cache locality** — the scheduler keeps draining requests that
+///    share the Engine workload key of the most recent dispatch (QUILL-style
+///    affinity batching), so same-workload requests hit the Engine's
+///    ContextPool warm.  A fixed fairness budget (`kLocalityWindow`) bounds
+///    each key's run: after `kLocalityWindow` consecutive same-key
+///    dispatches the oldest *different*-key request is dispatched, so no
+///    key is starved.  Affinity reorders only *within* the priority class
+///    the weighted pattern selected — priorities and deadlines are
+///    unaffected.
 ///  * **Determinism** — evaluation goes through `Engine::run`, so results
-///    are bit-identical to sequential runs regardless of concurrency,
-///    dispatch order or scheduling policy.
+///    are bit-identical to sequential runs regardless of concurrency or
+///    dispatch order.
 
 #include <array>
 #include <atomic>
@@ -57,16 +56,6 @@ inline constexpr int kPriorityClasses = 3;
 [[nodiscard]] const char* priority_name(Priority p);
 /// nullopt on an unknown name ("high" | "normal" | "low").
 [[nodiscard]] std::optional<Priority> priority_from_name(const std::string& name);
-
-/// Dispatch-order policy within a priority class.
-enum class SchedulePolicy {
-  kFifo,      ///< oldest-first within the class the weighted pattern picked
-  kLocality,  ///< same-workload-key affinity batching with a fairness budget
-};
-
-[[nodiscard]] const char* policy_name(SchedulePolicy p);
-/// nullopt on an unknown name ("fifo" | "locality").
-[[nodiscard]] std::optional<SchedulePolicy> policy_from_name(const std::string& name);
 
 enum class ResponseStatus {
   kOk,
@@ -121,10 +110,6 @@ struct ServerOptions {
   int max_concurrency = 0;
   /// Bounded admission queue; submits beyond it are rejected.
   std::size_t queue_capacity = 1024;
-  SchedulePolicy policy = SchedulePolicy::kFifo;
-  /// kLocality fairness budget: max consecutive same-key dispatches before
-  /// the scheduler must serve the oldest different-key request (>= 1).
-  int locality_window = 8;
   /// When true the Server admits but does not dispatch until `resume()` —
   /// lets callers stage a whole queue so dispatch order is deterministic
   /// (batch prefill, scheduling tests).
@@ -145,12 +130,9 @@ struct ServerOptions {
   int trace_sample_every = 0;
 };
 
-/// A live configuration change, applied atomically between dispatches by
-/// `Server::reconfigure` (the protocol `reconfigure` method).  Unset
-/// fields keep their current value.
+/// A live configuration change, applied by `Server::reconfigure` (the
+/// protocol `reconfigure` method).  Unset fields keep their current value.
 struct ServerReconfig {
-  std::optional<SchedulePolicy> policy;
-  std::optional<int> locality_window;
   std::optional<std::size_t> max_contexts;  ///< 0 = unbounded
   std::optional<std::size_t> max_memo;      ///< 0 = unbounded
   std::optional<bool> memoize_results;
@@ -197,13 +179,9 @@ class Server {
   /// True once `drain()` has been called: the server no longer admits.
   [[nodiscard]] bool draining() const;
 
-  /// Apply a live configuration change.  Validates everything (throws
-  /// defa::CheckError, leaving the server untouched) before mutating, then
-  /// applies under the scheduling lock: requests dispatched before the
-  /// call ran under the old configuration, requests dispatched after run
-  /// under the new one, and no dispatch observes a half-applied mix.  The
-  /// locality affinity window restarts (the old key's budget is
-  /// meaningless under a new policy/window).
+  /// Apply a live configuration change.  The Engine applies it atomically
+  /// with respect to concurrent runs (each run observes one coherent
+  /// configuration), and `options_snapshot()` mirrors the new values.
   void reconfigure(const ServerReconfig& rc);
 
   [[nodiscard]] MetricsSnapshot metrics() const;
@@ -222,6 +200,10 @@ class Server {
   /// H H N H H N L, so every class owns >= 1 of every 7 slots.
   [[nodiscard]] static Priority dispatch_slot(std::uint64_t slot);
   static constexpr int kDispatchPatternLen = 7;
+
+  /// Fairness budget of locality dispatch: the most consecutive same-key
+  /// dispatches before the oldest different-key request must run.
+  static constexpr int kLocalityWindow = 8;
 
  private:
   struct Entry {
@@ -258,7 +240,7 @@ class Server {
   bool draining_ = false;         ///< drain() called; no further admission
   std::uint64_t dispatch_seq_ = 0;
   std::int64_t popped_seq_ = 0;   ///< dispatch_index source
-  // kLocality state: the workload key of the active affinity window and
+  // Locality state: the workload key of the active affinity window and
   // how many consecutive dispatches it has received.
   std::string affinity_key_;      // guarded by mu_
   int affinity_run_ = 0;          // guarded by mu_

@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -37,6 +39,58 @@ TEST(Check, MessageIsIncluded) {
 
 TEST(Check, CheckErrorIsLogicError) {
   EXPECT_THROW(DEFA_CHECK(false, ""), std::logic_error);
+}
+
+// ----------------------------------------------------------------- parse_flag
+TEST(ParseFlag, AcceptsWholeInRangeValues) {
+  EXPECT_EQ(parse_flag<int>("--workers", "4", 0), 4);
+  EXPECT_EQ(parse_flag<int>("--shard-id", "-1", -1), -1);
+  EXPECT_EQ(parse_flag<int>("--listen", "65535", 0, 65535), 65535);
+  EXPECT_EQ(parse_flag<std::size_t>("--max-contexts", "0"), 0u);
+  EXPECT_EQ(parse_flag<std::uint64_t>("--seed", "18446744073709551615"),
+            UINT64_MAX);
+  EXPECT_EQ(parse_flag<double>("--rate", "2.5", 1e-3, 1e9), 2.5);
+  EXPECT_EQ(parse_flag<double>("--rate", "1e3", 1e-3, 1e9), 1000.0);
+}
+
+TEST(ParseFlag, RejectsPartialMalformedAndOutOfRangeText) {
+  const auto rejects_int = [](const char* text, int lo, int hi) {
+    EXPECT_THROW((void)parse_flag<int>("--workers", text, lo, hi), FlagError)
+        << "'" << text << "'";
+  };
+  rejects_int("4x", 0, 64);         // trailing junk
+  rejects_int("7junk", 0, 64);
+  rejects_int("", 0, 64);           // empty
+  rejects_int(" 4", 0, 64);         // surrounding whitespace
+  rejects_int("4 ", 0, 64);
+  rejects_int("-3", 0, 64);         // below the range
+  rejects_int("65", 0, 64);         // above the range
+  rejects_int("4294967297", 0, INT32_MAX);  // beyond int: no wrap to 1
+  rejects_int("2.0", 0, 64);        // not an integer
+  // Negative text never wraps into an unsigned count.
+  EXPECT_THROW((void)parse_flag<std::size_t>("--max-contexts", "-1"), FlagError);
+  EXPECT_THROW((void)parse_flag<std::size_t>("--queue-capacity", "0", 1), FlagError);
+  EXPECT_THROW((void)parse_flag<std::uint64_t>("--seed", "18446744073709551616"),
+               FlagError);
+  for (const char* text : {"nan", "inf", "-inf", "1e400", "0", "3qps"}) {
+    EXPECT_THROW((void)parse_flag<double>("--rate", text, 1e-3, 1e9), FlagError)
+        << "'" << text << "'";
+  }
+}
+
+TEST(ParseFlag, MessageNamesFlagRangeAndText) {
+  const auto message = [](auto parse) {
+    try {
+      parse();
+    } catch (const FlagError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([] { (void)parse_flag<std::size_t>("--max-memo", "7junk"); }),
+            "--max-memo: expected an integer in [0, 18446744073709551615], got '7junk'");
+  EXPECT_EQ(message([] { (void)parse_flag<double>("--metrics-interval", "0", 1e-3, 86400.0); }),
+            "--metrics-interval: expected a number in [0.001, 86400], got '0'");
 }
 
 // ------------------------------------------------------------------------ Rng

@@ -192,7 +192,7 @@ Json smoke_config_json() {
     "name": "t",
     "shards": 3,
     "virtual_nodes": 16,
-    "server": {"policy": "locality", "max_contexts": 1, "memoize_results": false},
+    "server": {"max_contexts": 1, "memoize_results": false},
     "load": {
       "requests": 12, "seed": 3,
       "arrival": {"process": "closed", "concurrency": 2},
@@ -214,7 +214,6 @@ TEST(FleetConfig, ParsesTheFullShape) {
   EXPECT_EQ(config.load.requests, 12);
   EXPECT_EQ(config.load.seed, 3u);
   EXPECT_EQ(config.load.concurrency, 2);
-  EXPECT_EQ(config.load.server.policy, serve::SchedulePolicy::kLocality);
   EXPECT_EQ(config.load.server.engine.max_contexts, 1u);
   EXPECT_FALSE(config.load.server.engine.memoize_results);
   ASSERT_EQ(config.load.scenarios.size(), 1u);
@@ -251,6 +250,21 @@ TEST(FleetConfig, RejectsUnknownAndInvalidKeys) {
   Json no_load = Json::object();
   no_load["shards"] = 2;
   EXPECT_THROW((void)fleet_config_from_json(no_load), CheckError);
+
+  // The retired dispatch-policy keys are unknown server keys, named in the
+  // error (shards run the one locality rule).
+  for (const char* retired : {"policy", "locality_window"}) {
+    Json config = smoke_config_json();
+    config["server"][retired] = 1;
+    try {
+      (void)fleet_config_from_json(config);
+      ADD_FAILURE() << retired << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(retired) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --------------------------------------------------------- live reconfiguration
@@ -282,7 +296,7 @@ TEST(EngineReconfigure, ShrinkingCacheBoundsEvictsAndResetStatsZeroes) {
   EXPECT_EQ(engine.cache_stats().memo_misses, 0u);
 }
 
-TEST(ServerReconfigure, SwitchesPolicyAndResetsMetricsBetweenDispatches) {
+TEST(ServerReconfigure, AppliesCacheBoundsAndResetsMetricsBetweenDispatches) {
   serve::Server server{serve::ServerOptions{}};
   serve::ServeRequest r;
   r.request.preset = "tiny";
@@ -290,18 +304,15 @@ TEST(ServerReconfigure, SwitchesPolicyAndResetsMetricsBetweenDispatches) {
   EXPECT_GT(server.metrics().submitted, 0u);
 
   serve::ServerReconfig rc;
-  rc.policy = serve::SchedulePolicy::kLocality;
-  rc.locality_window = 2;
+  rc.max_contexts = 1;
+  rc.memoize_results = false;
   rc.reset_stats = true;
   server.reconfigure(rc);
   const serve::ServerOptions after = server.options_snapshot();
-  EXPECT_EQ(after.policy, serve::SchedulePolicy::kLocality);
-  EXPECT_EQ(after.locality_window, 2);
+  EXPECT_EQ(after.engine.max_contexts, 1u);
+  EXPECT_FALSE(after.engine.memoize_results);
   EXPECT_EQ(server.metrics().submitted, 0u);
-
-  serve::ServerReconfig bad;
-  bad.locality_window = 0;
-  EXPECT_THROW(server.reconfigure(bad), CheckError);
+  EXPECT_EQ(server.engine().cached_contexts(), 0u);
 
   const auto resp = server.submit(r).get();
   EXPECT_EQ(resp.status, serve::ResponseStatus::kOk);

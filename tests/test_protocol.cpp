@@ -226,6 +226,36 @@ TEST(ProtocolSession, RetiredBackendKeyAndMethod) {
   EXPECT_EQ(file.base.server.engine.max_memo, 32u);
 }
 
+// The dispatch-policy knob is gone from the wire too: `policy` and
+// `locality_window` in reconfigure params are validation errors naming the
+// key, while ping and reconfigure keep reporting the fixed rule.
+TEST(ProtocolSession, RetiredPolicyKeysAndFrozenInfo) {
+  const std::vector<Json> frames = run_session(
+      R"({"v":1,"id":"p","method":"reconfigure","params":{"policy":"fifo"}})" "\n"
+      R"({"v":1,"id":"w","method":"reconfigure","params":{"locality_window":2}})" "\n"
+      R"({"v":1,"id":"ok","method":"reconfigure","params":{"max_memo":4}})" "\n"
+      R"({"v":1,"id":"ping","method":"ping"})" "\n");
+  ASSERT_EQ(frames.size(), 4u);
+  for (const auto& [id, key] : {std::pair{"p", "'policy'"},
+                                std::pair{"w", "'locality_window'"}}) {
+    const Json& f = *frame_with_id(frames, id);
+    EXPECT_EQ(error_code_of(f), "validation") << id;
+    EXPECT_NE(f.at("error").at("message").as_string().find(key),
+              std::string::npos)
+        << f.dump();
+  }
+  for (const char* id : {"ok", "ping"}) {
+    const Json& f = *frame_with_id(frames, id);
+    ASSERT_TRUE(f.at("ok").as_bool()) << f.dump();
+    const Json& info = f.at("result").at("server");
+    EXPECT_EQ(info.at("policy").as_string(), "locality") << id;
+    EXPECT_EQ(info.at("locality_window").as_int(), Server::kLocalityWindow) << id;
+  }
+  EXPECT_EQ(frame_with_id(frames, "ping")->at("result").at("server").at("max_memo")
+                .as_int(),
+            4);
+}
+
 TEST(ProtocolSession, VersionMismatchRejected) {
   // First frame v1 (selects protocol mode), then a v2 frame and a frame
   // that lost its "v".
@@ -571,7 +601,6 @@ TEST(LoopbackTcp, RemoteLoadgenMatchesInProcessSchemaAndResults) {
   options.seed = 11;
   const LoadReport remote = client::run_remote_loadgen(options, c);
   EXPECT_EQ(remote.transport, "tcp");
-  EXPECT_EQ(remote.policy, "fifo");
   EXPECT_EQ(remote.completed_ok, 32u);
   EXPECT_EQ(remote.errors, 0u);
   // The remote server really served them (metrics came over the wire).
@@ -747,15 +776,11 @@ TEST(LoopbackTcp, InFlightSubmitResolvesTypedTransportErrorOnPeerClose) {
 
 TEST(Reconfigure, ParamsRoundTripAndStrictValidation) {
   ServerReconfig rc;
-  rc.policy = SchedulePolicy::kLocality;
-  rc.locality_window = 4;
   rc.max_contexts = 2;
   rc.max_memo = 8;
   rc.memoize_results = false;
   rc.reset_stats = true;
   const ServerReconfig back = reconfig_from_params(reconfig_params(rc));
-  EXPECT_EQ(back.policy, rc.policy);
-  EXPECT_EQ(back.locality_window, rc.locality_window);
   EXPECT_EQ(back.max_contexts, rc.max_contexts);
   EXPECT_EQ(back.max_memo, rc.max_memo);
   EXPECT_EQ(back.memoize_results, rc.memoize_results);
@@ -765,15 +790,14 @@ TEST(Reconfigure, ParamsRoundTripAndStrictValidation) {
   Json unknown = Json::object();
   unknown["no_such_knob"] = 1;
   EXPECT_THROW((void)reconfig_from_params(unknown), CheckError);
-  Json bad_policy = Json::object();
-  bad_policy["policy"] = "round_robin";
-  EXPECT_THROW((void)reconfig_from_params(bad_policy), CheckError);
-  Json bad_window = Json::object();
-  bad_window["locality_window"] = 0;
-  EXPECT_THROW((void)reconfig_from_params(bad_window), CheckError);
-  // 2^32 + 1 must not wrap to a window of 1.
-  bad_window["locality_window"] = std::int64_t{4294967297};
-  EXPECT_THROW((void)reconfig_from_params(bad_window), CheckError);
+  Json bad_bound = Json::object();
+  bad_bound["max_contexts"] = -1;
+  EXPECT_THROW((void)reconfig_from_params(bad_bound), CheckError);
+  for (const char* retired : {"policy", "locality_window", "backend"}) {
+    Json params = Json::object();
+    params[retired] = 1;
+    EXPECT_THROW((void)reconfig_from_params(params), CheckError) << retired;
+  }
 }
 
 TEST(Reconfigure, AppliesLiveOverTheWireAndResetsStats) {
@@ -785,14 +809,10 @@ TEST(Reconfigure, AppliesLiveOverTheWireAndResetsStats) {
   EXPECT_GT(c.metrics().submitted, 0u);
 
   ServerReconfig rc;
-  rc.policy = SchedulePolicy::kLocality;
-  rc.locality_window = 3;
   rc.max_contexts = 1;
   rc.reset_stats = true;
   const Json result = c.reconfigure(rc);
   EXPECT_TRUE(result.at("reconfigured").as_bool());
-  EXPECT_EQ(result.at("server").at("policy").as_string(), "locality");
-  EXPECT_EQ(result.at("server").at("locality_window").as_int(), 3);
   EXPECT_EQ(result.at("server").at("max_contexts").as_int(), 1);
   // reset_stats wiped the metrics along with the engine counters.
   EXPECT_EQ(c.metrics().submitted, 0u);
@@ -802,10 +822,10 @@ TEST(Reconfigure, AppliesLiveOverTheWireAndResetsStats) {
 
   // An invalid change is refused with a typed validation error and leaves
   // the server serving.
-  ServerReconfig bad;
-  bad.locality_window = 0;
+  Json bad = Json::object();
+  bad["max_memo"] = -4;
   try {
-    (void)c.reconfigure(bad);
+    (void)c.call("reconfigure", bad);
     FAIL() << "expected RpcError";
   } catch (const client::RpcError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);

@@ -406,7 +406,7 @@ TEST(Server, HighPriorityFloodDoesNotStarveLowPriority) {
   EXPECT_LT(low_resp.total_ms, max_high_total);
 }
 
-// ------------------------------------------------- Server: locality policy
+// ------------------------------------------------- Server: locality dispatch
 
 /// One tiny-preset request on scene `scene_seed` (0 = the default scene).
 /// Distinct scenes have distinct Engine workload keys.
@@ -426,21 +426,20 @@ TEST(ServerLocality, SameKeyRequestsDispatchAdjacentlyUnderMixedKeyLoad) {
   ServerOptions opts;
   opts.max_concurrency = 1;   // serial dispatch: one global dispatch order
   opts.start_paused = true;   // stage the whole queue -> deterministic order
-  opts.policy = SchedulePolicy::kLocality;
-  opts.locality_window = 100;  // budget larger than either key's backlog
   Server server(opts);
 
-  // Perfectly interleaved submissions of two workload keys.
+  // Perfectly interleaved submissions of two workload keys, each backlog
+  // exactly one fairness window long.
   std::vector<std::future<ServeResponse>> futures;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < Server::kLocalityWindow; ++i) {
     futures.push_back(server.submit(scene_request(0, "a" + std::to_string(i))));
     futures.push_back(server.submit(scene_request(977, "b" + std::to_string(i))));
   }
   server.resume();
 
-  // Reconstruct the dispatch order and count key switches: locality must
-  // drain one key's window before touching the other (1 switch), where
-  // FIFO order would alternate every dispatch (15 switches).
+  // Reconstruct the dispatch order and count key switches: locality
+  // drains one key's window before touching the other (1 switch), where
+  // submission order would alternate every dispatch (15 switches).
   std::vector<std::pair<std::int64_t, std::string>> order;  // (index, key)
   for (auto& f : futures) {
     const ServeResponse resp = f.get();
@@ -455,23 +454,21 @@ TEST(ServerLocality, SameKeyRequestsDispatchAdjacentlyUnderMixedKeyLoad) {
   }
   EXPECT_EQ(switches, 1);
   // Submission order is preserved within each key's window.
-  EXPECT_EQ(order.front().second, order[7].second);
+  EXPECT_EQ(order.front().second, order[Server::kLocalityWindow - 1].second);
 }
 
 TEST(ServerLocality, FairnessBudgetBoundsKeyMonopoly) {
   ServerOptions opts;
   opts.max_concurrency = 1;
   opts.start_paused = true;
-  opts.policy = SchedulePolicy::kLocality;
-  opts.locality_window = 2;  // after 2 same-key dispatches, rotate keys
   Server server(opts);
 
   // A flood of one key with a single other-key request buried at the end:
-  // the fairness budget must hand the minority key a slot after at most
-  // `locality_window` majority dispatches instead of parking it behind
+  // the fairness budget must hand the minority key a slot after
+  // `kLocalityWindow` majority dispatches instead of parking it behind
   // the whole flood.
   std::vector<std::future<ServeResponse>> flood;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < Server::kLocalityWindow + 4; ++i) {
     flood.push_back(server.submit(scene_request(0, "flood" + std::to_string(i))));
   }
   std::future<ServeResponse> minority =
@@ -480,7 +477,8 @@ TEST(ServerLocality, FairnessBudgetBoundsKeyMonopoly) {
 
   const ServeResponse m = minority.get();
   ASSERT_EQ(m.status, ResponseStatus::kOk) << m.error;
-  EXPECT_EQ(m.dispatch_index, 2);  // exactly after the first exhausted window
+  // Exactly after the first exhausted window.
+  EXPECT_EQ(m.dispatch_index, Server::kLocalityWindow);
   for (auto& f : flood) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
 }
 
@@ -488,7 +486,6 @@ TEST(ServerLocality, DeadlineRejectionStillHonored) {
   ServerOptions opts;
   opts.max_concurrency = 1;
   opts.start_paused = true;
-  opts.policy = SchedulePolicy::kLocality;
   Server server(opts);
 
   std::future<ServeResponse> ok = server.submit(scene_request(0, "ok"));
@@ -503,43 +500,31 @@ TEST(ServerLocality, DeadlineRejectionStillHonored) {
   EXPECT_FALSE(r.result.has_value());
 }
 
-TEST(ServerLocality, HigherContextHitRateThanFifoUnderBoundedPool) {
+TEST(ServerLocality, OneContextMissPerWindowUnderBoundedPool) {
   // Interleaved two-key traffic against a context pool that only holds one
   // context, with result memoization off so every request really touches
-  // the pool.  FIFO alternates keys and misses every time; locality drains
-  // one key's window at a time and almost always hits.
-  const auto run_policy = [](SchedulePolicy policy) {
-    ServerOptions opts;
-    opts.max_concurrency = 1;
-    opts.start_paused = true;
-    opts.policy = policy;
-    opts.locality_window = 8;
-    opts.engine.max_contexts = 1;
-    opts.engine.memoize_results = false;
-    Server server(opts);
-    std::vector<std::future<ServeResponse>> futures;
-    for (int i = 0; i < 8; ++i) {
-      futures.push_back(server.submit(scene_request(0, "a" + std::to_string(i))));
-      futures.push_back(server.submit(scene_request(977, "b" + std::to_string(i))));
-    }
-    server.resume();
-    for (auto& f : futures) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
-    server.drain();
-    return server.metrics();
-  };
-
-  const MetricsSnapshot fifo = run_policy(SchedulePolicy::kFifo);
-  const MetricsSnapshot locality = run_policy(SchedulePolicy::kLocality);
-  // FIFO: strict a/b alternation evicts the other key's context every
-  // single dispatch.  Locality: one miss per window of 8.
-  EXPECT_EQ(fifo.context_hits, 0u);
-  EXPECT_EQ(fifo.context_misses, 16u);
-  EXPECT_EQ(locality.context_hits, 14u);
-  EXPECT_EQ(locality.context_misses, 2u);
-  EXPECT_GT(locality.context_hit_rate(), fifo.context_hit_rate());
+  // the pool.  Submission order would alternate keys and miss every time
+  // (0 hits / 16 misses); locality drains one key's window at a time.
+  ServerOptions opts;
+  opts.max_concurrency = 1;
+  opts.start_paused = true;
+  opts.engine.max_contexts = 1;
+  opts.engine.memoize_results = false;
+  Server server(opts);
+  std::vector<std::future<ServeResponse>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(server.submit(scene_request(0, "a" + std::to_string(i))));
+    futures.push_back(server.submit(scene_request(977, "b" + std::to_string(i))));
+  }
+  server.resume();
+  for (auto& f : futures) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
+  server.drain();
+  const MetricsSnapshot m = server.metrics();
+  EXPECT_EQ(m.context_hits, 14u);
+  EXPECT_EQ(m.context_misses, 2u);
 }
 
-TEST(ServerLocality, ResultsBitIdenticalToFifoAndSequential) {
+TEST(ServerLocality, ResultsBitIdenticalToSequentialEngine) {
   const std::vector<EvalRequest> requests = mixed_key_requests();
 
   // Sequential reference on an unbounded, memoizing engine.
@@ -548,41 +533,65 @@ TEST(ServerLocality, ResultsBitIdenticalToFifoAndSequential) {
   expected.reserve(requests.size());
   for (const EvalRequest& r : requests) expected.push_back(reference.run(r));
 
-  const auto run_policy = [&](SchedulePolicy policy) {
-    ServerOptions opts;
-    opts.policy = policy;
-    // Stress the rebuild path too: bounded contexts + no memo mean some
-    // workloads are evicted and reconstructed mid-run.
-    opts.engine.max_contexts = 2;
-    opts.engine.memoize_results = false;
-    Server server(opts);
-    std::vector<std::future<ServeResponse>> futures;
-    futures.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      ServeRequest sr;
-      sr.id = "req" + std::to_string(i);
-      sr.request = requests[i];
-      sr.priority = static_cast<Priority>(i % kPriorityClasses);
-      futures.push_back(server.submit(std::move(sr)));
-    }
-    std::vector<EvalResult> results;
-    results.reserve(futures.size());
-    for (auto& f : futures) {
-      const ServeResponse resp = f.get();
-      EXPECT_EQ(resp.status, ResponseStatus::kOk) << resp.error;
-      results.push_back(*resp.result);
-    }
-    return results;
-  };
-
-  const std::vector<EvalResult> fifo = run_policy(SchedulePolicy::kFifo);
-  const std::vector<EvalResult> locality = run_policy(SchedulePolicy::kLocality);
-  ASSERT_EQ(fifo.size(), expected.size());
-  ASSERT_EQ(locality.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(fifo[i], expected[i]) << "fifo request " << i;
-    EXPECT_EQ(locality[i], expected[i]) << "locality request " << i;
+  ServerOptions opts;
+  // Stress the rebuild path too: bounded contexts + no memo mean some
+  // workloads are evicted and reconstructed mid-run.
+  opts.engine.max_contexts = 2;
+  opts.engine.memoize_results = false;
+  Server server(opts);
+  std::vector<std::future<ServeResponse>> futures;
+  futures.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ServeRequest sr;
+    sr.id = "req" + std::to_string(i);
+    sr.request = requests[i];
+    sr.priority = static_cast<Priority>(i % kPriorityClasses);
+    futures.push_back(server.submit(std::move(sr)));
   }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const ServeResponse resp = futures[i].get();
+    ASSERT_EQ(resp.status, ResponseStatus::kOk) << resp.error;
+    EXPECT_EQ(*resp.result, expected[i]) << "request " << i;
+  }
+}
+
+TEST(ServerLocality, UnresolvableWorkloadKeyErrorsWithoutStallingNeighbours) {
+  // Admission resolves every request's workload key.  A request whose key
+  // cannot be resolved (an unknown preset submitted straight to the
+  // Server, past protocol validation) must still resolve — as kError —
+  // and the requests queued around it must still run.
+  ServerOptions opts;
+  opts.max_concurrency = 1;
+  opts.start_paused = true;
+  Server server(opts);
+  ServeRequest bad = scene_request(0, "bad");
+  bad.request.preset = "nonexistent";
+  EXPECT_THROW((void)bad.request.workload_key(), std::exception);
+
+  // Two keys on either side of the bad request.
+  std::vector<std::future<ServeResponse>> neighbours;
+  const auto submit_neighbours = [&](const std::string& tag) {
+    for (int i = 0; i < 3; ++i) {
+      neighbours.push_back(server.submit(
+          scene_request(i % 2 == 0 ? 0 : 977, tag + std::to_string(i))));
+    }
+  };
+  submit_neighbours("pre");
+  std::future<ServeResponse> bad_future = server.submit(bad);
+  submit_neighbours("post");
+  server.resume();
+
+  const ServeResponse r = bad_future.get();
+  EXPECT_EQ(r.id, "bad");
+  EXPECT_EQ(r.status, ResponseStatus::kError);
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_FALSE(r.result.has_value());
+  for (auto& f : neighbours) {
+    const ServeResponse ok = f.get();
+    EXPECT_EQ(ok.status, ResponseStatus::kOk) << ok.id << ": " << ok.error;
+  }
+  server.drain();
+  EXPECT_EQ(server.metrics().errors, 1u);
 }
 
 // ----------------------------------------------------------- EvalRequest JSON
@@ -694,8 +703,8 @@ TEST(ScenarioFile, ParsesFullDescription) {
     "seed": 9,
     "timeout_ms": 25,
     "arrival": {"process": "poisson", "rate_qps": 300},
-    "server": {"workers": 2, "queue_capacity": 64, "policy": "locality",
-               "locality_window": 4, "max_contexts": 2, "memoize_results": false},
+    "server": {"workers": 2, "queue_capacity": 64, "max_contexts": 2,
+               "memoize_results": false},
     "sweep": {"rates_qps": [100, 200]},
     "scenarios": [
       {"name": "a", "weight": 3,
@@ -714,16 +723,10 @@ TEST(ScenarioFile, ParsesFullDescription) {
   EXPECT_EQ(f.base.rate_qps, 300.0);
   EXPECT_EQ(f.base.server.max_concurrency, 2);
   EXPECT_EQ(f.base.server.queue_capacity, 64u);
-  EXPECT_EQ(f.base.server.policy, SchedulePolicy::kLocality);
-  EXPECT_EQ(f.base.server.locality_window, 4);
   EXPECT_EQ(f.base.server.engine.max_contexts, 2u);
   EXPECT_FALSE(f.base.server.engine.memoize_results);
   ASSERT_TRUE(f.has_sweep);
   EXPECT_EQ(f.sweep.rates_qps, (std::vector<double>{100.0, 200.0}));
-  // Policies default to the FIFO-vs-locality comparison.
-  EXPECT_EQ(f.sweep.policies,
-            (std::vector<SchedulePolicy>{SchedulePolicy::kFifo,
-                                         SchedulePolicy::kLocality}));
   ASSERT_EQ(f.base.scenarios.size(), 2u);
   EXPECT_EQ(f.base.scenarios[0].name, "a");
   EXPECT_EQ(f.base.scenarios[0].weight, 3.0);
@@ -757,12 +760,10 @@ TEST(ScenarioFile, RejectsMalformedDescriptions) {
                CheckError);
   EXPECT_THROW((void)parse(R"({"server": {"polciy": "fifo"}, )" + ok_mix + "}"),
                CheckError);
-  // Unknown scenario/priority/policy/process names.
+  // Unknown scenario/priority/process names.
   EXPECT_THROW((void)parse(
                    R"({"scenarios": [{"name": "a", "priority": "urgent",
                        "request": {"preset": "tiny"}}]})"),
-               CheckError);
-  EXPECT_THROW((void)parse(R"({"server": {"policy": "lifo"}, )" + ok_mix + "}"),
                CheckError);
   EXPECT_THROW(
       (void)parse(R"({"arrival": {"process": "bursty"}, )" + ok_mix + "}"),
@@ -801,6 +802,29 @@ TEST(ScenarioFile, RejectsMalformedDescriptions) {
   EXPECT_NO_THROW((void)parse(R"({"sweep": {"rates_qps": [100]}, )" + ok_mix + "}"));
 }
 
+TEST(ScenarioFile, RetiredPolicyKeysAreErrorsNamingTheKey) {
+  // Dispatch has one rule, so the old policy knobs are unknown keys: a
+  // file that still sets them fails loudly instead of silently running
+  // something else.
+  const std::string ok_mix =
+      R"("scenarios": [{"name": "a", "request": {"preset": "tiny"}}])";
+  const std::vector<std::pair<std::string, std::string>> retired = {
+      {"policy", R"({"server": {"policy": "locality"}, )"},
+      {"locality_window", R"({"server": {"locality_window": 8}, )"},
+      {"policies", R"({"sweep": {"rates_qps": [100], "policies": ["fifo"]}, )"},
+  };
+  for (const auto& [key, head] : retired) {
+    try {
+      (void)scenario_file_from_json(api::Json::parse(head + ok_mix + "}"));
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ScenarioFile, SweepParsesConcurrencyAxis) {
   const auto parse = [](const std::string& text) {
     return scenario_file_from_json(api::Json::parse(text));
@@ -828,8 +852,7 @@ TEST(ScenarioFile, SweepParsesConcurrencyAxis) {
   EXPECT_THROW((void)parse(R"({"sweep": {"concurrency": [-2]}, )" + ok_mix + "}"),
                CheckError);
   // A sweep block with neither axis is rejected.
-  EXPECT_THROW((void)parse(R"({"sweep": {"policies": ["fifo"]}, )" + ok_mix + "}"),
-               CheckError);
+  EXPECT_THROW((void)parse(R"({"sweep": {}, )" + ok_mix + "}"), CheckError);
   // Rate axes still refuse a closed-loop arrival.
   EXPECT_THROW((void)parse(
                    R"({"arrival": {"process": "closed"},
@@ -846,7 +869,6 @@ TEST(ScenarioFile, ConcurrencySweepDrivesClosedLoopPoints) {
   file.base.scenarios = smoke_mix();
   file.has_sweep = true;
   file.sweep.concurrencies = {1, 4};
-  file.sweep.policies = {SchedulePolicy::kFifo};
 
   const SweepReport report = run_sweep(file);
   ASSERT_EQ(report.points.size(), 2u);
@@ -872,29 +894,12 @@ TEST(ScenarioFile, ConcurrencySweepDrivesClosedLoopPoints) {
     EXPECT_GT(row.at("concurrency").as_int(), 0);
   }
   const std::string csv = report.to_csv();
-  EXPECT_NE(csv.find("rate_qps,policy,mode,concurrency,"), std::string::npos);
+  EXPECT_NE(csv.find("rate_qps,mode,concurrency,"), std::string::npos);
   EXPECT_NE(csv.find("closed,1,"), std::string::npos);
   EXPECT_NE(csv.find("closed,4,"), std::string::npos);
 }
 
-TEST(ScenarioFile, MixedSweepRunsOpenPointsThenClosedPoints) {
-  ScenarioFile file;
-  file.base.requests = 8;
-  file.base.scenarios = smoke_mix();
-  file.has_sweep = true;
-  file.sweep.rates_qps = {2000.0};
-  file.sweep.concurrencies = {2};
-  file.sweep.policies = {SchedulePolicy::kFifo};
-  const SweepReport report = run_sweep(file);
-  ASSERT_EQ(report.points.size(), 2u);
-  EXPECT_EQ(report.points[0].mode, "open");
-  EXPECT_EQ(report.points[0].rate_qps, 2000.0);
-  EXPECT_EQ(report.points[0].concurrency, 0);
-  EXPECT_EQ(report.points[1].mode, "closed");
-  EXPECT_EQ(report.points[1].concurrency, 2);
-}
-
-TEST(ScenarioFile, SweepComparesPoliciesOnIdenticalSchedules) {
+TEST(ScenarioFile, SweepRunsEveryPointOnIdenticalSchedules) {
   ScenarioFile file;
   file.name = "unit";
   file.base.requests = 24;
@@ -904,15 +909,14 @@ TEST(ScenarioFile, SweepComparesPoliciesOnIdenticalSchedules) {
   file.base.server.engine.memoize_results = false;
   file.base.scenarios = smoke_mix();
   file.has_sweep = true;
-  file.sweep.rates_qps = {2000.0};
-  file.sweep.policies = {SchedulePolicy::kFifo, SchedulePolicy::kLocality};
+  file.sweep.rates_qps = {1000.0, 2000.0};
 
   const SweepReport report = run_sweep(file);
   ASSERT_EQ(report.points.size(), 2u);
   for (const SweepPoint& pt : report.points) {
     EXPECT_EQ(pt.report.mode, "open");
     EXPECT_EQ(pt.report.completed_ok, 24u);
-    // Identical schedule per policy: the per-scenario ok-counts match.
+    // Identical schedule per point: the per-scenario ok-counts match.
     ASSERT_EQ(pt.report.per_scenario.size(),
               report.points[0].report.per_scenario.size());
     for (std::size_t s = 0; s < pt.report.per_scenario.size(); ++s) {
@@ -920,18 +924,17 @@ TEST(ScenarioFile, SweepComparesPoliciesOnIdenticalSchedules) {
                 report.points[0].report.per_scenario[s].completed_ok);
     }
   }
-  EXPECT_EQ(report.points[0].report.policy, "fifo");
-  EXPECT_EQ(report.points[1].report.policy, "locality");
 
   // The emitted sweep JSON carries the per-point curve with hit rates.
   const api::Json j = api::Json::parse(report.to_json().dump(2));
   EXPECT_EQ(j.at("bench").as_string(), "serve_sweep");
   ASSERT_EQ(j.at("curve").size(), 2u);
   for (const api::Json& row : j.at("curve").items()) {
-    for (const char* key : {"rate_qps", "policy", "achieved_qps", "p50_ms",
+    for (const char* key : {"rate_qps", "mode", "achieved_qps", "p50_ms",
                             "p95_ms", "p99_ms", "context_hit_rate"}) {
       EXPECT_TRUE(row.contains(key)) << key;
     }
+    EXPECT_FALSE(row.contains("policy"));
   }
   EXPECT_EQ(j.at("points").size(), 2u);
 
@@ -942,24 +945,61 @@ TEST(ScenarioFile, SweepComparesPoliciesOnIdenticalSchedules) {
   std::istringstream csv_stream(csv);
   for (std::string line; std::getline(csv_stream, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 1u + report.points.size());
-  EXPECT_EQ(lines[0].substr(0, 16), "rate_qps,policy,");
+  EXPECT_EQ(lines[0].substr(0, 28), "rate_qps,mode,concurrency,ac");
   const auto commas = [](const std::string& s) {
     return std::count(s.begin(), s.end(), ',');
   };
   for (const std::string& line : lines) EXPECT_EQ(commas(line), commas(lines[0]));
-  EXPECT_NE(lines[1].find("fifo"), std::string::npos);
-  EXPECT_NE(lines[2].find("locality"), std::string::npos);
+  EXPECT_EQ(lines[1].substr(0, 10), "1000,open,");
+  EXPECT_EQ(lines[2].substr(0, 10), "2000,open,");
+}
+
+TEST(ScenarioFile, MixedSweepHandsOpenThenClosedPointsToTheRunner) {
+  // The sweep loop owns the points; how a point runs is passed in (a fresh
+  // in-process Server by default, a reconfigured remote server for
+  // --connect).  Record what the runner sees.
+  ScenarioFile file;
+  file.base.requests = 5;
+  file.base.seed = 11;
+  file.base.scenarios = smoke_mix();
+  file.has_sweep = true;
+  file.sweep.rates_qps = {100.0, 300.0};
+  file.sweep.concurrencies = {2, 8};
+  std::vector<LoadGenOptions> seen;
+  const SweepReport report = run_sweep(file, [&](const LoadGenOptions& options) {
+    seen.push_back(options);
+    return LoadReport{};
+  });
+  ASSERT_EQ(seen.size(), 4u);
+  ASSERT_EQ(report.points.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(seen[i].mode, LoadGenOptions::Mode::kOpen);
+    EXPECT_EQ(seen[i].rate_qps, file.sweep.rates_qps[i]);
+    EXPECT_EQ(report.points[i].mode, "open");
+    EXPECT_EQ(report.points[i].rate_qps, file.sweep.rates_qps[i]);
+    EXPECT_EQ(report.points[i].concurrency, 0);
+    EXPECT_EQ(seen[2 + i].mode, LoadGenOptions::Mode::kClosed);
+    EXPECT_EQ(seen[2 + i].concurrency, file.sweep.concurrencies[i]);
+    EXPECT_EQ(report.points[2 + i].mode, "closed");
+    EXPECT_EQ(report.points[2 + i].concurrency, file.sweep.concurrencies[i]);
+  }
+  for (const LoadGenOptions& o : seen) {
+    EXPECT_EQ(o.requests, 5);
+    EXPECT_EQ(o.seed, 11u);  // every point replays the same schedule
+  }
 }
 
 // --------------------------------------------------------------------- loadgen
 
 void check_bench_serve_json(const api::Json& j) {
   for (const char* key :
-       {"bench", "mode", "policy", "transport", "requests", "completed_ok",
+       {"bench", "mode", "transport", "requests", "completed_ok",
         "rejected_shutdown", "elapsed_ms", "achieved_qps", "latency_ms",
         "queue_ms", "run_ms", "per_scenario", "server_metrics"}) {
     EXPECT_TRUE(j.contains(key)) << key;
   }
+  EXPECT_FALSE(j.contains("policy"));
+  EXPECT_FALSE(j.at("meta").contains("policy"));
   for (const char* key : {"p50_ms", "p95_ms", "p99_ms", "buckets", "sum_ms",
                           "bucket_lowest_ms", "bucket_growth"}) {
     EXPECT_TRUE(j.at("latency_ms").contains(key)) << key;

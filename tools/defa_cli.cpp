@@ -27,6 +27,7 @@
 #include "api/registry.h"
 #include "api/result_io.h"
 #include "client/client.h"
+#include "common/flags.h"
 #include "common/thread_pool.h"
 
 namespace {
@@ -110,8 +111,7 @@ int cmd_run(const std::vector<std::string>& args) {
       connect_endpoint = args[++i];
     } else if (args[i] == "--jobs") {
       if (i + 1 >= args.size()) return usage("defa_cli");
-      jobs = std::stoi(args[++i]);
-      if (jobs < 1) return usage("defa_cli");
+      jobs = defa::parse_flag<int>("--jobs", args[++i], 1);
     } else if (args[i] == "--all") {
       all = true;
     } else if (!args[i].empty() && args[i][0] == '-') {
@@ -231,6 +231,9 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 0;
     }
+  } catch (const defa::FlagError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

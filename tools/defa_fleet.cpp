@@ -37,6 +37,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/flags.h"
 #include "fleet/orchestrator.h"
 #include "obs/trace.h"
 
@@ -97,19 +98,12 @@ int main(int argc, char** argv) try {
     } else if (arg == "--shards") {
       const char* v = value();
       if (v == nullptr) return usage();
-      shards_override = std::stoi(v);
-      if (shards_override < 1) {
-        std::cerr << "--shards must be >= 1\n";
-        return 2;
-      }
+      // One defa_serve process per shard: keep the count sane.
+      shards_override = defa::parse_flag<int>(arg, v, 1, 64);
     } else if (arg == "--trace-sample") {
       const char* v = value();
       if (v == nullptr) return usage();
-      trace_sample = std::stoi(v);
-      if (trace_sample <= 0) {
-        std::cerr << "--trace-sample N must be > 0\n";
-        return 2;
-      }
+      trace_sample = defa::parse_flag<int>(arg, v, 1);
     } else if (arg == "--trace-out") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -131,11 +125,7 @@ int main(int argc, char** argv) try {
     } else if (arg == "--pipeline") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.client.max_inflight = std::stoi(v);
-      if (options.client.max_inflight < 0) {
-        std::cerr << "--pipeline N must be >= 0 (0 = unlimited)\n";
-        return 2;
-      }
+      options.client.max_inflight = defa::parse_flag<int>(arg, v, 0);
     } else if (arg == "--no-chaos") {
       options.chaos = false;
     } else if (arg == "--no-verify") {
@@ -185,6 +175,9 @@ int main(int argc, char** argv) try {
   std::cerr << "defa_fleet: " << report.runs.size() << " run(s) -> " << out_path
             << " and " << csv_path << (ok ? "" : " (FAILED)") << "\n";
   return ok ? 0 : 1;
+} catch (const defa::FlagError& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";
   return 1;

@@ -4,7 +4,6 @@
 //                [--mode closed|open] [--requests N] [--concurrency N]
 //                [--rate QPS] [--fixed-gap] [--timeout-ms MS] [--seed S]
 //                [--mix smoke|default] [--workers N] [--queue-capacity N]
-//                [--policy fifo|locality] [--locality-window N]
 //                [--max-contexts N] [--max-memo N] [--no-memo]
 //                [--out FILE] [--smoke] [--quiet]
 //                [--trace-sample N] [--trace-out FILE]
@@ -35,7 +34,7 @@
 // process over TCP through defa::client::Client instead: same schedules,
 // same report schema, bit-identical results, latencies now including the
 // wire — the in-process vs cross-process comparison in one tool.  The
-// server flags (--workers, --policy, ..., --no-memo) configure the
+// server flags (--workers, --queue-capacity, ..., --no-memo) configure the
 // in-process server and are rejected with --connect (the remote process
 // owns its configuration); a scenario file's "server" block is ignored
 // with --connect for the same reason.
@@ -46,18 +45,20 @@
 //
 //   --sweep   requires a scenario file with a "sweep" block: drives every
 //             configured open-loop arrival rate and/or closed-loop
-//             concurrency under every configured policy (FIFO vs locality
-//             by default) and emits one latency-vs-load curve per policy,
-//             with context-cache hit rate per point (docs/BENCH_SCHEMA.md
+//             concurrency and emits one latency-vs-load curve, with
+//             context-cache hit rate per point (docs/BENCH_SCHEMA.md
 //             describes the output).  With --out it also writes a
 //             plot-ready CSV sidecar (one row per point) next to the JSON
 //             report.  Combined with --connect the sweep drives the remote
-//             defa_serve instead, switching policy and resetting stats per
-//             point through the protocol `reconfigure` method — same grid,
+//             defa_serve instead, resetting caches and stats per point
+//             through the protocol `reconfigure` method — same points,
 //             same cold-cache-per-point semantics, latencies including the
 //             wire.
 //   --smoke   shorthand for the CI configuration: closed loop, 64 requests,
 //             concurrency 4, smoke mix, --out BENCH_serve.json.
+//
+// Every numeric flag value must be a whole in-range number, or the tool
+// exits 2 naming the flag.
 
 #include <fstream>
 #include <iostream>
@@ -66,6 +67,7 @@
 #include "api/result_io.h"
 #include "client/client.h"
 #include "client/remote_loadgen.h"
+#include "common/flags.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "serve/scenario.h"
@@ -80,7 +82,6 @@ int usage() {
       << "                    [--mode closed|open] [--requests N] [--concurrency N]\n"
       << "                    [--rate QPS] [--fixed-gap] [--timeout-ms MS] [--seed S]\n"
       << "                    [--mix smoke|default] [--workers N] [--queue-capacity N]\n"
-      << "                    [--policy fifo|locality] [--locality-window N]\n"
       << "                    [--max-contexts N] [--max-memo N] [--no-memo]\n"
       << "                    [--out FILE] [--smoke] [--quiet]\n"
       << "                    [--trace-sample N] [--trace-out FILE]\n"
@@ -95,7 +96,7 @@ void print_summary(const defa::serve::LoadReport& r, std::ostream& out) {
   } else {
     out << " (offered " << r.offered_qps << " qps)";
   }
-  out << ", policy " << r.policy << ", transport " << r.transport;
+  out << ", transport " << r.transport;
   if (r.wire_version > 0) out << " (wire v" << r.wire_version << ")";
   out << "\n"
       << "requests        " << r.requests << "  (ok " << r.completed_ok
@@ -129,7 +130,7 @@ void print_summary(const defa::serve::LoadReport& r, std::ostream& out) {
 void print_sweep_summary(const defa::serve::SweepReport& r, std::ostream& out) {
   out << "sweep           " << (r.name.empty() ? "(unnamed)" : r.name) << ", "
       << r.requests << " requests per point\n"
-      << "point         policy    achieved  p50_ms    p99_ms    hit_rate\n";
+      << "point         achieved  p50_ms    p99_ms    hit_rate\n";
   for (const auto& pt : r.points) {
     const defa::serve::MetricsSnapshot& m = pt.report.server_metrics;
     if (pt.mode == "closed") {
@@ -137,8 +138,7 @@ void print_sweep_summary(const defa::serve::SweepReport& r, std::ostream& out) {
     } else {
       out << pt.rate_qps << " qps";
     }
-    out << "  " << defa::serve::policy_name(pt.policy) << "  "
-        << pt.report.achieved_qps << "  " << pt.report.latency_ms.percentile(50)
+    out << "  " << pt.report.achieved_qps << "  " << pt.report.latency_ms.percentile(50)
         << "  " << pt.report.latency_ms.percentile(99) << "  "
         << m.context_hit_rate() << "\n";
   }
@@ -187,21 +187,22 @@ int main(int argc, char** argv) try {
       }
     } else if (arg == "--requests") {
       if ((v = value()) == nullptr) return usage();
-      options.requests = std::stoi(v);
+      options.requests = defa::parse_flag<int>(arg, v, 1);
     } else if (arg == "--concurrency") {
       if ((v = value()) == nullptr) return usage();
-      options.concurrency = std::stoi(v);
+      // One client thread per in-flight request: keep the count sane.
+      options.concurrency = defa::parse_flag<int>(arg, v, 1, 1024);
     } else if (arg == "--rate") {
       if ((v = value()) == nullptr) return usage();
-      options.rate_qps = std::stod(v);
+      options.rate_qps = defa::parse_flag<double>(arg, v, 1e-3, 1e9);
     } else if (arg == "--fixed-gap") {
       options.poisson = false;
     } else if (arg == "--timeout-ms") {
       if ((v = value()) == nullptr) return usage();
-      options.timeout_ms = std::stod(v);
+      options.timeout_ms = defa::parse_flag<double>(arg, v, 0.0, 1e9);
     } else if (arg == "--seed") {
       if ((v = value()) == nullptr) return usage();
-      options.seed = std::stoull(v);
+      options.seed = defa::parse_flag<std::uint64_t>(arg, v);
     } else if (arg == "--mix") {
       if ((v = value()) == nullptr) return usage();
       mix = v;
@@ -209,32 +210,19 @@ int main(int argc, char** argv) try {
     } else if (arg == "--workers") {
       server_flag_given = true;
       if ((v = value()) == nullptr) return usage();
-      options.server.max_concurrency = std::stoi(v);
+      options.server.max_concurrency = defa::parse_flag<int>(arg, v, 0);
     } else if (arg == "--queue-capacity") {
       server_flag_given = true;
       if ((v = value()) == nullptr) return usage();
-      options.server.queue_capacity = static_cast<std::size_t>(std::stoul(v));
-    } else if (arg == "--policy") {
-      server_flag_given = true;
-      if ((v = value()) == nullptr) return usage();
-      const auto policy = defa::serve::policy_from_name(v);
-      if (!policy.has_value()) {
-        std::cerr << "unknown policy '" << v << "' (fifo|locality)\n";
-        return 2;
-      }
-      options.server.policy = *policy;
-    } else if (arg == "--locality-window") {
-      server_flag_given = true;
-      if ((v = value()) == nullptr) return usage();
-      options.server.locality_window = std::stoi(v);
+      options.server.queue_capacity = defa::parse_flag<std::size_t>(arg, v, 1);
     } else if (arg == "--max-contexts") {
       server_flag_given = true;
       if ((v = value()) == nullptr) return usage();
-      options.server.engine.max_contexts = static_cast<std::size_t>(std::stoul(v));
+      options.server.engine.max_contexts = defa::parse_flag<std::size_t>(arg, v);
     } else if (arg == "--max-memo") {
       server_flag_given = true;
       if ((v = value()) == nullptr) return usage();
-      options.server.engine.max_memo = static_cast<std::size_t>(std::stoul(v));
+      options.server.engine.max_memo = defa::parse_flag<std::size_t>(arg, v);
     } else if (arg == "--no-memo") {
       server_flag_given = true;
       options.server.engine.memoize_results = false;
@@ -255,21 +243,13 @@ int main(int argc, char** argv) try {
     } else if (arg == "--pipeline") {
       wire_flag_given = true;
       if ((v = value()) == nullptr) return usage();
-      client_options.max_inflight = std::stoi(v);
-      if (client_options.max_inflight < 0) {
-        std::cerr << "--pipeline N must be >= 0 (0 = unlimited)\n";
-        return 2;
-      }
+      client_options.max_inflight = defa::parse_flag<int>(arg, v, 0);
     } else if (arg == "--out") {
       if ((v = value()) == nullptr) return usage();
       out_path = v;
     } else if (arg == "--trace-sample") {
       if ((v = value()) == nullptr) return usage();
-      options.trace_sample_every = std::stoi(v);
-      if (options.trace_sample_every <= 0) {
-        std::cerr << "--trace-sample N must be > 0\n";
-        return 2;
-      }
+      options.trace_sample_every = defa::parse_flag<int>(arg, v, 1);
     } else if (arg == "--trace-out") {
       if ((v = value()) == nullptr) return usage();
       trace_out_path = v;
@@ -307,8 +287,8 @@ int main(int argc, char** argv) try {
     // Server flags configure the in-process server; silently ignoring
     // them would benchmark a configuration the user didn't ask for.
     std::cerr << "--connect drives a remote defa_serve: server flags "
-                 "(--workers/--queue-capacity/--policy/--locality-window/"
-                 "--max-contexts/--max-memo/--no-memo) configure "
+                 "(--workers/--queue-capacity/--max-contexts/--max-memo/"
+                 "--no-memo) configure "
                  "the in-process server and cannot be combined with it\n";
     return 2;
   }
@@ -341,8 +321,8 @@ int main(int argc, char** argv) try {
     }
     defa::serve::SweepReport report;
     if (!connect_endpoint.empty()) {
-      // Remote sweep: each point reconfigures the connected server (policy
-      // switch + stats/cache reset) through the protocol instead of
+      // Remote sweep: each point reconfigures the connected server (cache
+      // bounds + stats/cache reset) through the protocol instead of
       // constructing a fresh in-process Server.
       defa::client::Client client =
           defa::client::Client::connect(connect_endpoint, client_options);
@@ -417,8 +397,10 @@ int main(int argc, char** argv) try {
   }
   // Traffic that never completed anything signals a broken setup to CI.
   return report.completed_ok > 0 ? 0 : 1;
+} catch (const defa::FlagError& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 } catch (const std::exception& e) {
-  // Also covers std::stoi/stod/stoull on malformed flag values.
   std::cerr << "error: " << e.what() << "\n";
   return 1;
 }

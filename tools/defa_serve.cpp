@@ -1,13 +1,16 @@
 // defa_serve — request/response server over defa::serve.
 //
 //   defa_serve [--in FILE] [--out FILE] [--listen PORT] [--port-file FILE]
-//              [--workers N] [--queue-capacity N] [--policy fifo|locality]
-//              [--locality-window N] [--max-contexts N] [--max-memo N]
-//              [--no-memo] [--metrics]
+//              [--workers N] [--queue-capacity N] [--max-contexts N]
+//              [--max-memo N] [--no-memo] [--metrics]
 //              [--metrics-interval SEC] [--metrics-out FILE]
 //              [--trace] [--trace-sample N] [--trace-out FILE]
 //              [--shard-id N] [--shard-count N] [--shard-name NAME]
 //              [--virtual-nodes N] [--max-wire N]
+//
+// Dispatch is workload-affinity batching with a fixed fairness budget
+// (docs/SERVING.md); it has no flag.  Every numeric flag value must be a
+// whole in-range number, or the server exits 2 naming the flag.
 //
 // Observability (docs/OBSERVABILITY.md): --metrics-interval emits one
 // MetricsSnapshot JSON line per interval to stderr (or --metrics-out
@@ -57,6 +60,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -71,8 +75,7 @@ namespace {
 int usage() {
   std::cerr << "usage: defa_serve [--in FILE] [--out FILE] [--listen PORT]\n"
             << "                  [--port-file FILE] [--workers N]\n"
-            << "                  [--queue-capacity N] [--policy fifo|locality]\n"
-            << "                  [--locality-window N] [--max-contexts N]\n"
+            << "                  [--queue-capacity N] [--max-contexts N]\n"
             << "                  [--max-memo N] [--no-memo]\n"
             << "                  [--metrics] [--metrics-interval SEC]\n"
             << "                  [--metrics-out FILE] [--trace]\n"
@@ -219,11 +222,7 @@ int main(int argc, char** argv) try {
     } else if (arg == "--listen") {
       const char* v = value();
       if (v == nullptr) return usage();
-      listen_port = std::stoi(v);
-      if (listen_port < 0 || listen_port > 65535) {
-        std::cerr << "--listen PORT must be in [0, 65535]\n";
-        return 2;
-      }
+      listen_port = defa::parse_flag<int>(arg, v, 0, 65535);
     } else if (arg == "--port-file") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -231,42 +230,29 @@ int main(int argc, char** argv) try {
     } else if (arg == "--workers") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.max_concurrency = std::stoi(v);
+      options.server.max_concurrency = defa::parse_flag<int>(arg, v, 0);
     } else if (arg == "--queue-capacity") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.queue_capacity = static_cast<std::size_t>(std::stoul(v));
-    } else if (arg == "--policy") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      const auto policy = defa::serve::policy_from_name(v);
-      if (!policy.has_value()) {
-        std::cerr << "unknown policy '" << v << "' (fifo|locality)\n";
-        return 2;
-      }
-      options.server.policy = *policy;
-    } else if (arg == "--locality-window") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.server.locality_window = std::stoi(v);
+      options.server.queue_capacity = defa::parse_flag<std::size_t>(arg, v, 1);
     } else if (arg == "--max-contexts") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.engine.max_contexts = static_cast<std::size_t>(std::stoul(v));
+      options.server.engine.max_contexts = defa::parse_flag<std::size_t>(arg, v);
     } else if (arg == "--max-memo") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.engine.max_memo = static_cast<std::size_t>(std::stoul(v));
+      options.server.engine.max_memo = defa::parse_flag<std::size_t>(arg, v);
     } else if (arg == "--no-memo") {
       options.server.engine.memoize_results = false;
     } else if (arg == "--shard-id") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.shard_id = std::stoi(v);
+      options.server.shard_id = defa::parse_flag<int>(arg, v, -1);
     } else if (arg == "--shard-count") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.shard_count = std::stoi(v);
+      options.server.shard_count = defa::parse_flag<int>(arg, v, 0);
     } else if (arg == "--shard-name") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -274,27 +260,18 @@ int main(int argc, char** argv) try {
     } else if (arg == "--virtual-nodes") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.ring_virtual_nodes = std::stoi(v);
+      options.server.ring_virtual_nodes = defa::parse_flag<int>(arg, v, 1, 65536);
     } else if (arg == "--max-wire") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.max_wire_version = std::stoi(v);
-      if (options.max_wire_version < 1 ||
-          options.max_wire_version > defa::serve::wire::kWireVersion) {
-        std::cerr << "--max-wire N must be in [1, "
-                  << defa::serve::wire::kWireVersion << "]\n";
-        return 2;
-      }
+      options.max_wire_version =
+          defa::parse_flag<int>(arg, v, 1, defa::serve::wire::kWireVersion);
     } else if (arg == "--metrics") {
       options.emit_metrics = true;
     } else if (arg == "--metrics-interval") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.metrics_interval_sec = std::stod(v);
-      if (options.metrics_interval_sec <= 0) {
-        std::cerr << "--metrics-interval SEC must be > 0\n";
-        return 2;
-      }
+      options.metrics_interval_sec = defa::parse_flag<double>(arg, v, 1e-3, 86400.0);
     } else if (arg == "--metrics-out") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -304,11 +281,7 @@ int main(int argc, char** argv) try {
     } else if (arg == "--trace-sample") {
       const char* v = value();
       if (v == nullptr) return usage();
-      options.server.trace_sample_every = std::stoi(v);
-      if (options.server.trace_sample_every <= 0) {
-        std::cerr << "--trace-sample N must be > 0\n";
-        return 2;
-      }
+      options.server.trace_sample_every = defa::parse_flag<int>(arg, v, 1);
       trace = true;
     } else if (arg == "--trace-out") {
       const char* v = value();
@@ -391,8 +364,10 @@ int main(int argc, char** argv) try {
   if (bad > 0) std::cerr << bad << " malformed request line(s)\n";
   dump_trace();
   return 0;
+} catch (const defa::FlagError& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 } catch (const std::exception& e) {
-  // Also covers std::stoi/stoul on malformed flag values.
   std::cerr << "error: " << e.what() << "\n";
   return 1;
 }
